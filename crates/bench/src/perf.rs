@@ -13,6 +13,7 @@
 //! The report serializes to JSON (hand-rolled — the workspace is
 //! dependency-free) for `BENCH_sim.json` and the CI smoke step.
 
+use crate::scale::VisitGate;
 use crate::sweep;
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
@@ -198,10 +199,9 @@ fn warm_up<F: FnMut()>(mut f: F, min_seconds: f64) {
 /// deterministic kernel on a shared host: every disturbance (preemption
 /// by another tenant, a frequency dip, an interrupt) only ever *adds*
 /// time, so the least-disturbed sample is the closest to the code's
-/// true cost. The gating `--check` deliberately does NOT use this — a
-/// regression gate must be robust in the pessimistic direction, so it
-/// keeps the median, where a lone lucky sample cannot mask a real
-/// slowdown.
+/// true cost. `--check`'s wall-clock line deliberately does NOT use
+/// this: it keeps the median, where a lone lucky sample cannot mask a
+/// real slowdown.
 fn min_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..n {
@@ -334,46 +334,50 @@ pub fn run(quick: bool) -> PerfReport {
     }
 }
 
-/// Outcome of the gating `datasync perf --check` comparison against a
-/// committed baseline report.
+/// Outcome of `datasync perf --check`: the host-independent gate plus
+/// a wall-clock comparison against a committed baseline report, which
+/// is reported but never gates (the baseline was recorded on other
+/// hardware).
 #[derive(Debug, Clone)]
 pub struct PerfCheck {
+    /// The gate: processor visits per simulator operation must not grow
+    /// with the machine. Deterministic, so it gates exactly.
+    pub gate: VisitGate,
     /// `fast_cycles_per_sec` from the baseline JSON.
     pub baseline_cycles_per_sec: f64,
     /// Freshly measured fast-forward throughput (warm-up + median of 5).
     pub measured_cycles_per_sec: f64,
     /// `measured / baseline` (1.0 = exactly the baseline).
     pub ratio: f64,
-    /// Allowed fraction below baseline before the check fails.
-    pub tolerance: f64,
-    /// A warning (not a gate failure) when the baseline claims multiple
-    /// sweep threads yet its parallel sweep did not beat serial: that
-    /// baseline was measured on an oversubscribed or contended host and
-    /// its sweep numbers advertise a parallel win that never happened.
+    /// A warning when the baseline claims multiple sweep threads yet its
+    /// parallel sweep did not beat serial: that baseline was measured on
+    /// an oversubscribed or contended host and its sweep numbers
+    /// advertise a parallel win that never happened.
     pub sweep_warning: Option<String>,
 }
 
 impl PerfCheck {
-    /// Whether the measured throughput clears the regression gate.
+    /// Whether the kernel's event cost is still P-independent.
     pub fn pass(&self) -> bool {
-        self.ratio >= 1.0 - self.tolerance
+        self.gate.pass()
     }
 
-    /// One-line verdict for the CLI (plus the sweep warning, if any).
+    /// The gate's table and verdict, then the wall-clock line (plus the
+    /// sweep warning, if any).
     pub fn summary(&self) -> String {
-        let line = format!(
-            "perf check: fast-forward {measured:.0} cycles/s vs baseline {base:.0} cycles/s \
-             ({pct:+.1}%, tolerance -{tol:.0}%) => {verdict}",
+        let mut text = format!(
+            "{gate}\nwall clock (reported, not gating): fast-forward {measured:.0} cycles/s \
+             vs baseline {base:.0} cycles/s ({pct:+.1}%)",
+            gate = self.gate.summary(),
             measured = self.measured_cycles_per_sec,
             base = self.baseline_cycles_per_sec,
             pct = (self.ratio - 1.0) * 100.0,
-            tol = self.tolerance * 100.0,
-            verdict = if self.pass() { "ok" } else { "REGRESSION" },
         );
-        match &self.sweep_warning {
-            Some(w) => format!("{line}\n{w}"),
-            None => line,
+        if let Some(w) = &self.sweep_warning {
+            text.push('\n');
+            text.push_str(w);
         }
+        text
     }
 }
 
@@ -436,21 +440,20 @@ fn sweep_warning_for(baseline_json: &str) -> Option<String> {
     }
 }
 
-/// Measures the fast-forward kernel against `baseline_json` (the
-/// contents of a committed `BENCH_sim.json`) and fails on a throughput
-/// regression beyond 15%. A sustained untimed warm-up brings clocks,
-/// caches, and the branch predictor to steady state; the verdict uses
-/// the median of five timed runs, so a single noisy sample cannot fail
-/// (or pass) the gate.
+/// Runs the P-independence gate ([`crate::scale::visit_gate`]) and
+/// measures the fast-forward kernel against `baseline_json` (the
+/// contents of a committed `BENCH_sim.json`). Only the gate decides the
+/// verdict; the wall-clock ratio (sustained warm-up, then the median of
+/// five timed runs) is reported beside it.
 ///
 /// # Errors
 ///
-/// Errors when the baseline JSON is unusable; a *failing measurement* is
-/// a `PerfCheck` with `pass() == false`, not an `Err`.
+/// Errors when the baseline JSON is unusable; a *failing gate* is a
+/// `PerfCheck` with `pass() == false`, not an `Err`.
 ///
 /// # Panics
 ///
-/// Panics if the benchmark workload fails to simulate.
+/// Panics if a benchmark workload fails to simulate.
 pub fn check(baseline_json: &str, quick: bool) -> Result<PerfCheck, String> {
     let baseline = baseline_cycles_per_sec(baseline_json)?;
     let (iters, cost) = if quick { (48i64, 2_000u32) } else { (160, 10_000) };
@@ -464,7 +467,7 @@ pub fn check(baseline_json: &str, quick: bool) -> Result<PerfCheck, String> {
         sync_transport: scheme.natural_transport(),
         ..MachineConfig::with_processors(8)
     };
-    // Warm-up (untimed, sustained), then the gating median.
+    // Warm-up (untimed, sustained), then the reported median.
     let warm = compiled.run(&config).expect("perf workload must complete");
     let simulated_cycles = warm.stats.makespan;
     warm_up(|| drop(compiled.run(&config).expect("perf workload must complete")), 1.0);
@@ -473,10 +476,10 @@ pub fn check(baseline_json: &str, quick: bool) -> Result<PerfCheck, String> {
     });
     let measured = simulated_cycles as f64 / seconds;
     Ok(PerfCheck {
+        gate: crate::scale::visit_gate(quick),
         baseline_cycles_per_sec: baseline,
         measured_cycles_per_sec: measured,
         ratio: measured / baseline,
-        tolerance: 0.15,
         sweep_warning: sweep_warning_for(baseline_json),
     })
 }
@@ -544,28 +547,35 @@ mod tests {
     }
 
     #[test]
-    fn check_gates_on_the_15pct_threshold() {
-        // Any honest measurement clears a floor baseline (a fresh
-        // baseline's own re-measurement would be flaky on a loaded
-        // host: the report's min-of-N deliberately reads above the
-        // check's pessimistic median); an absurdly fast fabricated
-        // baseline must fail it.
+    fn check_gates_on_visits_per_op_not_on_wall_clock() {
+        // The gate is deterministic and passes on every host; the
+        // wall-clock ratio is reported beside it and never fails the
+        // check, however absurd the baseline.
         let ok = check("{\"fast_cycles_per_sec\": 1000.0}", true).unwrap();
         assert!(ok.pass(), "{}", ok.summary());
-        assert!(ok.summary().contains("ok"), "{}", ok.summary());
-
-        let impossible = "{\"fast_cycles_per_sec\": 1e15}";
-        let fail = check(impossible, true).unwrap();
-        assert!(!fail.pass(), "{}", fail.summary());
-        assert!(fail.summary().contains("REGRESSION"), "{}", fail.summary());
+        assert!(ok.summary().contains("=> ok"), "{}", ok.summary());
+        assert!(ok.summary().contains("not gating"), "{}", ok.summary());
+        let slow = check("{\"fast_cycles_per_sec\": 1e15}", true).unwrap();
+        assert!(slow.pass(), "wall clock must not gate: {}", slow.summary());
+        assert_eq!(slow.gate.rows.len(), ok.gate.rows.len());
+        for (a, b) in slow.gate.rows.iter().zip(&ok.gate.rows) {
+            assert_eq!((a.small, a.large), (b.small, b.large), "the gate is deterministic");
+        }
         assert!(check("not json at all", true).is_err());
+
+        // A kernel whose event cost grows with P fails it.
+        let mut bad = ok;
+        bad.gate.rows[0].large = bad.gate.rows[0].small * 16.0;
+        assert!(!bad.pass(), "{}", bad.summary());
+        assert!(bad.summary().contains("REGRESSION"), "{}", bad.summary());
+        assert!(bad.summary().contains("P-DEPENDENT"), "{}", bad.summary());
     }
 
     #[test]
     fn check_warns_when_a_multithread_baseline_lost_its_sweep() {
         // The shipped-bug shape: 4 claimed threads, parallel slower than
-        // serial. The gate still passes on kernel throughput, but the
-        // verdict must carry the inconsistency warning.
+        // serial. The gate still passes, but the verdict must carry the
+        // inconsistency warning.
         let bad = "{\"fast_cycles_per_sec\": 1000.0, \"threads\": 4, \"sweep_speedup\": 0.969}";
         let c = check(bad, true).unwrap();
         assert!(c.pass(), "{}", c.summary());

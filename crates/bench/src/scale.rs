@@ -30,9 +30,11 @@ use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
 use datasync_schemes::scheme::Scheme;
 use datasync_schemes::{
-    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
+    BarrierPhased, CompiledLoop, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
 };
-use datasync_sim::{FabricKind, Instr, Machine, MachineConfig, Pred, Program, StepMode, Workload};
+use datasync_sim::{
+    FabricKind, Instr, KernelCounters, MachineConfig, Pred, Program, RunOutcome, Workload,
+};
 
 /// One (scheme, P) measurement on the scaling curve.
 #[derive(Debug, Clone)]
@@ -47,6 +49,11 @@ pub struct ScalePoint {
     pub wall_seconds: f64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
+    /// Processor visits per simulator operation
+    /// ([`KernelCounters::visits_per_op`]): the host-independent cost of
+    /// an event, flat in P when the kernel only visits processors that
+    /// act.
+    pub visits_per_op: f64,
 }
 
 /// The scaling curve of one scheme across the P axis.
@@ -89,12 +96,14 @@ impl ScaleReport {
             for (j, pt) in curve.points.iter().enumerate() {
                 out.push_str(&format!(
                     "      {{\"procs\": {}, \"clusters\": {}, \"makespan\": {}, \
-                     \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}}}{}\n",
+                     \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \
+                     \"visits_per_op\": {:.3}}}{}\n",
                     pt.procs,
                     pt.clusters,
                     pt.makespan,
                     pt.wall_seconds,
                     pt.cycles_per_sec,
+                    pt.visits_per_op,
                     if j + 1 < curve.points.len() { "," } else { "" }
                 ));
             }
@@ -117,6 +126,22 @@ impl ScaleReport {
             out.push_str(&format!("{:<16}", curve.scheme));
             for pt in &curve.points {
                 out.push_str(&format!(" {:>10}", human_rate(pt.cycles_per_sec)));
+            }
+            out.push('\n');
+        }
+        out.push_str("\nprocessor visits per sim op (host-independent event cost)\n");
+        for curve in &self.curves {
+            let label = if curve.scheme == HOTSPOT_SCHEME {
+                format!("hotspot/{}", curve.fabric)
+            } else {
+                curve.scheme.clone()
+            };
+            out.push_str(&format!("{label:<18}"));
+            for pt in &curve.points {
+                out.push_str(&format!(
+                    " {:>11}",
+                    format!("P={}: {:.2}", pt.procs, pt.visits_per_op)
+                ));
             }
             out.push('\n');
         }
@@ -210,13 +235,109 @@ fn hotspot_workload(p: usize) -> Workload {
     Workload::static_assigned(programs, (0..p).map(|i| vec![i]).collect())
 }
 
-/// Runs the hot-spot workload on one fabric, returning its makespan.
-fn hotspot_makespan(p: usize, fabric: FabricKind) -> u64 {
+/// Runs the hot-spot workload on one fabric.
+fn hotspot_run(p: usize, fabric: FabricKind) -> RunOutcome {
     let config = MachineConfig { sync_fabric: fabric, ..MachineConfig::with_processors(p) };
-    let w = hotspot_workload(p);
-    let mut m = Machine::new(&config, &w);
-    m.set_mode(StepMode::FastForward);
-    m.run_to_completion().expect("hot-spot workload must complete").stats.makespan
+    datasync_sim::run(&config, &hotspot_workload(p)).expect("hot-spot workload must complete")
+}
+
+/// The Fig 2.1 scaling cell: the loop sized to the machine (2·P
+/// iterations, so every processor has work) with `cost`-cycle
+/// statements, compiled under one scheme for its natural transport.
+fn scheme_cell(label: &str, p: usize, cost: u32) -> (CompiledLoop, MachineConfig) {
+    let nest = fig21_loop(2 * p as i64);
+    let scheme = build_scheme(label, p);
+    let inflate = move |_id, _pid| cost;
+    let compiled =
+        scheme.compile_with(&nest, &analyze(&nest), &IterSpace::of(&nest), Some(&inflate));
+    let config = MachineConfig {
+        sync_transport: scheme.natural_transport(),
+        ..MachineConfig::with_processors(p)
+    };
+    (compiled, config)
+}
+
+/// Runs [`scheme_cell`] once.
+fn scheme_run(label: &str, p: usize, cost: u32) -> RunOutcome {
+    let (compiled, config) = scheme_cell(label, p, cost);
+    compiled.run(&config).expect("scale workload must complete")
+}
+
+/// One workload of the P-independence gate at its two machine sizes.
+#[derive(Debug, Clone)]
+pub struct VisitRow {
+    /// What ran.
+    pub workload: String,
+    /// `visits_per_op` on the small machine.
+    pub small: f64,
+    /// `visits_per_op` on the large machine.
+    pub large: f64,
+}
+
+/// The host-independent gate behind `datasync perf --check`: processor
+/// visits per simulator operation must not grow with the machine
+/// ([`KernelCounters::p_independent`]). Deterministic — the same
+/// numbers on every host.
+#[derive(Debug, Clone)]
+pub struct VisitGate {
+    /// Processor counts compared (small, large).
+    pub procs: (usize, usize),
+    /// One row per workload.
+    pub rows: Vec<VisitRow>,
+}
+
+impl VisitGate {
+    /// Whether every workload's event cost is P-independent.
+    pub fn pass(&self) -> bool {
+        self.rows.iter().all(|r| KernelCounters::p_independent(r.small, r.large))
+    }
+
+    /// One line per workload plus the verdict.
+    pub fn summary(&self) -> String {
+        let (small, large) = self.procs;
+        let mut out = format!(
+            "perf check: processor visits per sim op, P={small} vs P={large} \
+             (gate: P={large} <= {:.0}x P={small} and <= {:.0})\n",
+            KernelCounters::VISITS_GROWTH_MAX,
+            KernelCounters::VISITS_PER_OP_MAX,
+        );
+        for r in &self.rows {
+            out.push_str(&format!(
+                "  {:<24} {:>7.3} -> {:>7.3}  {}\n",
+                r.workload,
+                r.small,
+                r.large,
+                if KernelCounters::p_independent(r.small, r.large) { "ok" } else { "P-DEPENDENT" },
+            ));
+        }
+        out.push_str(if self.pass() { "=> ok" } else { "=> REGRESSION" });
+        out
+    }
+}
+
+/// Measures the gate: the barrier hot-spot on the flat bus and Fig 2.1
+/// under the process- and statement-oriented schemes, at P = 64 and
+/// P = 1024 (`quick`: P = 16 and P = 128, small statements).
+///
+/// # Panics
+///
+/// Panics if a gate workload fails to complete.
+pub fn visit_gate(quick: bool) -> VisitGate {
+    let (small, large, cost) = if quick { (16, 128, 200) } else { (64, 1024, 2_000) };
+    let ratio = |out: RunOutcome| out.kernel.visits_per_op(&out.stats);
+    let mut rows = vec![VisitRow {
+        workload: format!("{HOTSPOT_SCHEME} (flat)"),
+        small: ratio(hotspot_run(small, FabricKind::Dedicated)),
+        large: ratio(hotspot_run(large, FabricKind::Dedicated)),
+    }];
+    for scheme in ["process", "statement"] {
+        rows.push(VisitRow {
+            workload: format!("fig 2.1 {scheme}"),
+            small: ratio(scheme_run(scheme, small, cost)),
+            large: ratio(scheme_run(scheme, large, cost)),
+        });
+    }
+    VisitGate { procs: (small, large), rows }
 }
 
 /// Runs the scaling sweep. `quick` caps the P axis and shrinks costs for
@@ -231,7 +352,6 @@ pub fn run(quick: bool) -> ScaleReport {
     let procs: Vec<usize> =
         if quick { vec![8, 16, 32] } else { vec![8, 16, 32, 64, 128, 256, 512, 1024] };
     let cost: u32 = if quick { 500 } else { 2_000 };
-    let inflate = move |_id, _pid| cost;
     let mut curves: Vec<SchemeCurve> = SCHEMES
         .iter()
         .map(|s| SchemeCurve {
@@ -241,20 +361,11 @@ pub fn run(quick: bool) -> ScaleReport {
         })
         .collect();
     for &p in &procs {
-        // Size the loop to the machine so every processor has work.
-        let iters = 2 * p as i64;
-        let nest = fig21_loop(iters);
-        let graph = analyze(&nest);
-        let space = IterSpace::of(&nest);
         for curve in &mut curves {
-            let scheme = build_scheme(&curve.scheme, p);
-            let compiled = scheme.compile_with(&nest, &graph, &space, Some(&inflate));
-            let config = MachineConfig {
-                sync_transport: scheme.natural_transport(),
-                ..MachineConfig::with_processors(p)
-            };
+            let (compiled, config) = scheme_cell(&curve.scheme, p, cost);
             let out = compiled.run(&config).expect("scale workload must complete");
             let makespan = out.stats.makespan;
+            let visits_per_op = out.kernel.visits_per_op(&out.stats);
             let wall_seconds = time_runs(|| {
                 let _ = compiled.run(&config).expect("scale workload must complete");
             });
@@ -264,6 +375,7 @@ pub fn run(quick: bool) -> ScaleReport {
                 makespan,
                 wall_seconds,
                 cycles_per_sec: makespan as f64 / wall_seconds,
+                visits_per_op,
             });
         }
     }
@@ -296,9 +408,10 @@ pub fn run(quick: bool) -> ScaleReport {
                 hotspot_clusters(p),
             ),
         ] {
-            let makespan = hotspot_makespan(p, fabric);
+            let out = hotspot_run(p, fabric);
+            let makespan = out.stats.makespan;
             let wall_seconds = time_runs(|| {
-                let _ = hotspot_makespan(p, fabric);
+                let _ = hotspot_run(p, fabric);
             });
             curve.points.push(ScalePoint {
                 procs: p,
@@ -306,6 +419,7 @@ pub fn run(quick: bool) -> ScaleReport {
                 makespan,
                 wall_seconds,
                 cycles_per_sec: makespan as f64 / wall_seconds,
+                visits_per_op: out.kernel.visits_per_op(&out.stats),
             });
         }
     }
@@ -363,21 +477,33 @@ mod tests {
     }
 
     #[test]
+    fn full_visit_gate_passes_on_the_hotspot_and_two_compiled_schemes() {
+        // The exact rows `datasync perf --check` gates CI on: P=64 vs
+        // P=1024, the flat hot-spot and Fig 2.1 under two schemes.
+        let gate = visit_gate(false);
+        assert_eq!(gate.procs, (64, 1024));
+        assert_eq!(gate.rows.len(), 3, "{}", gate.summary());
+        assert!(gate.pass(), "{}", gate.summary());
+    }
+
+    #[test]
     fn hotspot_ablation_clustered_beats_flat_at_scale() {
         // The acceptance bar for the two-level fabric: at P = 1024 the
         // clustered makespan must be at least 2x better than the flat
         // dedicated bus on the same workload (it is ~5x in practice —
         // the flat bus serializes all 1024 RMWs per round, the clusters
         // run 32-wide grants in parallel and the bridge aggregates).
-        let flat = hotspot_makespan(1024, FabricKind::Dedicated);
-        let clustered = hotspot_makespan(
+        let flat = hotspot_run(1024, FabricKind::Dedicated).stats.makespan;
+        let clustered = hotspot_run(
             1024,
             FabricKind::Clustered {
                 clusters: hotspot_clusters(1024),
                 bridge_latency: 2,
                 coalesce_window: 4,
             },
-        );
+        )
+        .stats
+        .makespan;
         assert!(
             flat >= 2 * clustered,
             "clustered must be >=2x better at P=1024: flat {flat} vs clustered {clustered}"

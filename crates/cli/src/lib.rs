@@ -71,10 +71,12 @@ USAGE:
       and parallel vs serial sweep throughput; writes BENCH_sim.json.
       --scale instead sweeps every scheme across P = 8 → 1024 processors
       plus a barrier hot-spot ablation of the flat vs clustered fabrics
-      out to P = 4096, and writes the curves to BENCH_scale.json. --check
-      re-measures the kernel (warm-up, median of five) against the
-      committed baseline (--baseline, default BENCH_sim.json) and exits 9
-      on a >15% throughput regression — the CI perf gate.
+      out to P = 4096, and writes the curves (with processor visits per
+      sim op at every point) to BENCH_scale.json. --check is the CI perf
+      gate: it exits 9 when processor visits per sim op at P = 1024 exceed
+      2x the P = 64 figure or 8 (hot-spot, two schemes; deterministic),
+      and reports wall-clock throughput against the committed baseline
+      (--baseline, default BENCH_sim.json) without gating on it.
   datasync trace      [--loop L] [--n N] [--m M] [--scheme S] [--procs P]
                       [--x X] [--banks B] [--fabric F] [--events E]
                       [--out PATH] [CACHE KNOBS]
@@ -109,7 +111,7 @@ EXIT CODES: 0 success | 2 bad arguments or config | 3 deadlock detected |
             6 completed only on the degraded fallback scheme |
             7 dependence order violated |
             8 completed but only by reconfiguring around a dead processor |
-            9 perf check found a throughput regression |
+            9 perf check found a P-dependent event cost |
             10 serve runtime failure (bind, journal or accept loop)
 ";
 
@@ -137,8 +139,8 @@ pub enum ExitCode {
     /// `8` — completed, but only by reconfiguring work off a
     /// fail-stopped processor onto the survivor quorum.
     Reconfigured,
-    /// `9` — the gating perf check measured a throughput regression
-    /// beyond its tolerance.
+    /// `9` — the gating perf check found a regression: the kernel's
+    /// processor visits per sim op grow with the machine.
     PerfRegression,
     /// `10` — the sweep service failed at runtime (bind, journal I/O,
     /// or the accept loop), as opposed to `2` for bad serve arguments.
@@ -742,19 +744,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
         let path_s = path.to_str().unwrap();
-        // Any honest measurement clears a floor baseline (a fresh
-        // baseline's own re-measurement would be flaky on a loaded
-        // host: the report's min-of-N deliberately reads above the
-        // check's pessimistic median)…
-        std::fs::write(&path, "{\"fast_cycles_per_sec\": 1000.0}\n").unwrap();
-        let out = run(&["perf", "--quick", "--check", "--baseline", path_s]).unwrap();
-        assert!(out.contains("perf check"), "{out}");
-        assert!(out.contains("=> ok"), "{out}");
-        // …an impossible baseline fails with the dedicated exit code…
-        std::fs::write(&path, "{\"fast_cycles_per_sec\": 1e15}\n").unwrap();
-        let e = run(&["perf", "--quick", "--check", "--baseline", path_s]).unwrap_err();
-        assert_eq!(e.code, ExitCode::PerfRegression.code());
-        assert!(e.message.contains("REGRESSION"), "{}", e.message);
+        // The gate is visits per sim op (deterministic); wall clock is
+        // reported against the baseline but cannot fail the check, so
+        // even a baseline no host could reach passes…
+        for baseline in ["1000.0", "1e15"] {
+            std::fs::write(&path, format!("{{\"fast_cycles_per_sec\": {baseline}}}\n")).unwrap();
+            let out = run(&["perf", "--quick", "--check", "--baseline", path_s]).unwrap();
+            assert!(out.contains("perf check"), "{out}");
+            assert!(out.contains("=> ok"), "{out}");
+            assert!(out.contains("not gating"), "{out}");
+        }
         // …and unusable baselines are argument errors, not regressions.
         std::fs::write(&path, "{\"fast_cycles_per_sec\": null}\n").unwrap();
         assert_eq!(run(&["perf", "--quick", "--check", "--baseline", path_s]).unwrap_err().code, 2);

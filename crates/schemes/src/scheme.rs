@@ -142,9 +142,16 @@ impl CompiledLoop {
                 )
             })
             .collect();
+        if self.instance_pairs.is_empty() {
+            return problems;
+        }
+        // One pass over the trace, then O(1) per pair. First recorded
+        // start and end, as `Trace::start_of` / `end_of` answer — not
+        // `validate_order`'s last end: a pair is judged on the instance's
+        // original execution even if a rescue reissued it later.
+        let seen = out.trace.instance_index();
         for &(ss, sp, ds, dp) in &self.instance_pairs {
-            let (Some(end), Some(start)) = (out.trace.end_of(ss, sp), out.trace.start_of(ds, dp))
-            else {
+            let (Some(end), Some(start)) = (seen.end_of(ss, sp), seen.start_of(ds, dp)) else {
                 continue;
             };
             if start < end {
@@ -318,6 +325,53 @@ mod tests {
         assert!(matches!(prog.instrs[2], Instr::Compute(7)));
         assert!(matches!(prog.instrs[3], Instr::Access { write: true, .. }));
         assert!(matches!(prog.instrs[4], Instr::Note(Label { start: false, .. })));
+    }
+
+    /// A rescue reissue records an instance twice. The two checks read
+    /// that differently on purpose: distance arcs take the instance's
+    /// *last* end (the reissued execution must also precede the sink),
+    /// instance pairs its *first* (as `Trace::end_of` answers).
+    #[test]
+    fn validate_keeps_first_end_for_pairs_and_last_end_for_arcs() {
+        let note = |stmt, pid, start| Label { pid, stmt, start };
+        let mut trace = datasync_sim::Trace::new();
+        // S1@0 runs 0..10, is reissued and runs again 30..40; S2@1,
+        // which depends on it, starts at 20.
+        for (cycle, label) in [
+            (0, note(0, 0, true)),
+            (10, note(0, 0, false)),
+            (20, note(1, 1, true)),
+            (25, note(1, 1, false)),
+            (30, note(0, 0, true)),
+            (40, note(0, 0, false)),
+        ] {
+            trace.record(cycle, 0, label);
+        }
+        assert_eq!(trace.end_of(0, 0), Some(10), "public lookup keeps the first end");
+        let index = trace.instance_index();
+        assert_eq!((index.start_of(0, 0), index.end_of(0, 0)), (Some(0), Some(10)));
+        assert_eq!(index.start_of(1, 1), trace.start_of(1, 1));
+        assert_eq!(index.end_of(2, 0), None);
+        let out = RunOutcome {
+            stats: Default::default(),
+            trace,
+            sync_final: Vec::new(),
+            metrics: Default::default(),
+            events: Default::default(),
+            kernel: Default::default(),
+        };
+        let compiled = |validation_arcs, instance_pairs| CompiledLoop {
+            workload: Workload::dynamic(Vec::new()),
+            storage: SyncStorage::default(),
+            presets: Vec::new(),
+            validation_arcs,
+            instance_pairs,
+        };
+        let by_pair = compiled(Vec::new(), vec![(0, 0, 1, 1)]).validate(&out);
+        assert!(by_pair.is_empty(), "first end 10 precedes start 20: {by_pair:?}");
+        let by_arc = compiled(vec![(0, 1, 1)], Vec::new()).validate(&out);
+        assert_eq!(by_arc.len(), 1, "last end 40 follows start 20: {by_arc:?}");
+        assert!(by_arc[0].contains("ends 40"), "{by_arc:?}");
     }
 
     #[test]

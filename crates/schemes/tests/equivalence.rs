@@ -303,6 +303,39 @@ fn failstop_reconfiguration_is_identical_across_modes() {
     }
 }
 
+/// Found by fuzzing the wake-driven kernel against its predecessor:
+/// above the calendar's scan threshold, processor stalls combined with
+/// a fail-stop rescue made the old fast-forward kernel drift from the
+/// reference stepper (makespan 10113 vs 10194 on the first seed). The
+/// specification was right; one transition function keeps them equal.
+#[test]
+fn stalls_and_a_failstop_rescue_above_the_scan_threshold_are_identical() {
+    let nest = fig21_loop(140);
+    let scheme = ProcessOriented::new(70);
+    let cost = |_id, _pid| 350;
+    let compiled = scheme.compile_with(&nest, &analyze(&nest), &IterSpace::of(&nest), Some(&cost));
+    for seed in [62, 1, 2] {
+        let faults = FaultPlan {
+            seed,
+            stall_mean_interval: 493,
+            stall_max: 54,
+            fail_stop_procs: 1,
+            fail_stop_window: 2773,
+            ..FaultPlan::none()
+        };
+        let config = MachineConfig {
+            sync_transport: scheme.natural_transport(),
+            sync_fabric: FabricKind::Ideal,
+            ..MachineConfig::with_processors(70)
+        }
+        .with_faults(faults)
+        .with_recovery(RecoveryPolicy::Full);
+        assert_equivalent(&compiled, &config, &format!("seed {seed}"));
+        let rescues = compiled.run(&config).unwrap().stats.recovery.fail_stop_rescues;
+        assert!(rescues > 0, "seed {seed}: the rescue must fire");
+    }
+}
+
 /// Private caches are a pure timing/traffic model riding the data bus,
 /// and the fast-forward kernel must stay bit-identical to per-cycle
 /// stepping with them enabled — for every scheme under both coherence

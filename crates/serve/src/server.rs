@@ -186,6 +186,14 @@ impl ServerHandle {
         self.addr
     }
 
+    /// The server's admission valve (a handle onto the shared counter).
+    /// Load generators and tests hold slots through it to put the
+    /// service under back-pressure deterministically, instead of racing
+    /// a slow request against the requests meant to be shed.
+    pub fn admission(&self) -> Admission {
+        self.shared.admission.clone()
+    }
+
     /// Requests a graceful drain and waits for the server to finish.
     pub fn stop(self) -> ServeSummary {
         self.shared.local_shutdown.store(true, Ordering::SeqCst);
@@ -695,33 +703,23 @@ mod tests {
         let cfg = ServeConfig { queue_cap: 1, ..config("shed") };
         let dir = cfg.state_dir.clone();
         let handle = Server::spawn(cfg).expect("spawn");
-        // Hold the only slot with a slow streaming request...
         let addr = handle.addr();
-        let holder = std::thread::spawn(move || {
-            request(addr, "POST", "/sweep", r#"{"iterations": [64], "processors": [8]}"#)
-        });
-        // ...then storm the valve until a shed is observed.
-        let mut saw_shed = false;
-        for _ in 0..200 {
+        // Hold the only slot through the admission API itself, so no
+        // request can race the holder for it...
+        let slot = handle.admission().try_admit(1).expect("an idle valve admits");
+        // ...then every sweep is shed, politely.
+        for _ in 0..3 {
             let resp = request(addr, "POST", "/sweep", r#"{"iterations": [6]}"#);
-            if resp.starts_with("HTTP/1.1 429") {
-                assert!(resp.contains("Retry-After: 1"), "{resp}");
-                assert!(body_of(&resp).contains("\"retry_after_s\":1"));
-                saw_shed = true;
-                break;
-            }
-            // The holder may have finished already; re-arm by busying
-            // the valve again is unnecessary — just assert it streamed.
-            if resp.starts_with("HTTP/1.1 200") {
-                break;
-            }
+            assert!(resp.starts_with("HTTP/1.1 429"), "{resp}");
+            assert!(resp.contains("Retry-After: 1"), "{resp}");
+            assert!(body_of(&resp).contains("\"retry_after_s\":1"));
         }
-        let held = holder.join().unwrap();
-        assert!(held.starts_with("HTTP/1.1 200"), "{held}");
+        // Releasing the slot reopens the valve: shedding wedged nothing.
+        drop(slot);
+        let resp = request(addr, "POST", "/sweep", r#"{"iterations": [6]}"#);
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         let summary = handle.stop();
-        if saw_shed {
-            assert!(summary.shed >= 1);
-        }
+        assert_eq!(summary.shed, 3);
         assert!(summary.drained_clean, "shedding must not wedge the drain");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -65,8 +65,8 @@ pub use config::{
 pub use events::{EventRing, SimEvent, SimEventKind};
 pub use faults::{FaultClass, FaultCounts, FaultPlan};
 pub use machine::{
-    run, run_reference, DedicatedBus, DispatchMode, IdealFabric, Machine, RunOutcome,
-    SharedDataBus, SimError, StepMode, SyncFabric, Workload,
+    run, run_reference, DedicatedBus, DispatchMode, IdealFabric, KernelCounters, Machine,
+    RunOutcome, SharedDataBus, SimError, StepMode, SyncFabric, Workload,
 };
 pub use metrics::{CacheTraffic, RunMetrics, VarTraffic, WaitHistogram};
 pub use program::{pack_pc, unpack_pc, Instr, Label, Pred, Program, SyncVar};
@@ -74,4 +74,4 @@ pub use recovery::{RecoveryCounts, RecoveryPolicy, WaitEdge};
 pub use rng::SplitMix64;
 pub use stats::{ProcBreakdown, RunStats};
 pub use timeline::{render as render_timeline, spans as trace_spans, Span};
-pub use trace::{FaultEvent, OrderViolation, Trace, TraceEvent};
+pub use trace::{FaultEvent, InstanceIndex, OrderViolation, Trace, TraceEvent};

@@ -33,10 +33,6 @@ pub(crate) struct Dispatcher {
     pub(crate) chain_pred: Vec<Option<usize>>,
     /// Programs that have run to completion.
     pub(crate) done: Vec<bool>,
-    /// Set when a program completes mid-cycle: parked work may have
-    /// become claimable, so cached idle-processor wakes must be
-    /// re-armed at the end of the step. Cleared by the stepper.
-    pub(crate) dirty: bool,
 }
 
 impl Dispatcher {
@@ -60,7 +56,7 @@ impl Dispatcher {
             }
         }
         let done = vec![false; workload.programs.len()]; // alloc-ok: setup
-        Self { next_dynamic: 0, queues, rescue: VecDeque::new(), chain_pred, done, dirty: false }
+        Self { next_dynamic: 0, queues, rescue: VecDeque::new(), chain_pred, done }
     }
 
     /// Whether a never-started program may be issued now: its static
@@ -152,12 +148,32 @@ impl<'a> Machine<'a> {
         self.procs.set_current(p, Some(next));
         self.procs.ip[p] = resume;
         self.procs.resume_ip[p] = resume;
-        let lat = self.config.dispatch_latency;
-        self.procs.set_state(
-            p,
-            if lat == 0 { ProcState::Ready } else { ProcState::Computing { remaining: lat } },
-        );
+        let lat = u64::from(self.config.dispatch_latency);
+        let state = if lat == 0 {
+            ProcState::Ready
+        } else {
+            ProcState::Computing { until: self.cycle + lat }
+        };
+        self.procs.set_state(p, state, self.cycle);
         true
+    }
+
+    /// A program just completed: wakes the idle processors that may now
+    /// be able to claim work. Normally that is nobody — the only work a
+    /// completion frees is the finisher's own static-chain successor,
+    /// and the finisher is mid-visit. Once the rescue rung has moved
+    /// work around, a pool entry or another processor's queue head can
+    /// be chained behind the finished program, so every idle processor
+    /// is re-examined (O(P), fail-stop recovery only).
+    pub(crate) fn wake_claimers(&mut self) {
+        if self.disp.rescue.is_empty() && self.rec.rescues_done == 0 {
+            return;
+        }
+        for q in 0..self.procs.len() {
+            if matches!(self.procs.state(q), ProcState::Idle) {
+                self.procs.mark_wake(q);
+            }
+        }
     }
 }
 

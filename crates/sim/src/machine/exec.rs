@@ -9,14 +9,24 @@ use crate::faults::FaultClass;
 use crate::program::{Instr, Pred};
 
 impl<'a> Machine<'a> {
-    /// Executes instructions for processor `p` in the current cycle.
-    /// "Free" instructions (notes, posted writes, satisfied waits,
-    /// zero-cost computes) retire in the same cycle; the first costly one
-    /// decides how the cycle is accounted.
+    /// Visits processor `p` in the current cycle — the one transition
+    /// function both step modes drive. "Free" instructions (notes,
+    /// posted writes, satisfied waits, zero-cost computes) retire in the
+    /// same cycle; the first costly one leaves `p` in the state that
+    /// decides which bucket its cycles accrue to from now on. Nothing
+    /// is charged here: a visit to a quiet processor (mid-compute,
+    /// blocked, spinning on an unsatisfied image, idle with nothing to
+    /// claim, dead) changes nothing at all.
     pub(crate) fn step_proc(&mut self, p: usize) {
         if self.procs.is_dead(p) {
-            self.procs.stats[p].dead += 1;
             return;
+        }
+        if let ProcState::Computing { until } = self.procs.state(p) {
+            if self.cycle >= until {
+                // The compute retired with cycle `until - 1`.
+                debug_assert_eq!(self.cycle, until, "a retiring compute is visited on time");
+                self.procs.set_state(p, ProcState::Ready, until);
+            }
         }
         if self.cycle >= self.procs.fail_at[p] {
             // Fail-stop onset: this processor permanently stops
@@ -30,27 +40,32 @@ impl<'a> Machine<'a> {
             // hardware actually enforced is not re-stamped late by the
             // rescue path.
             self.drain_notes(p);
-            self.procs.kill(p);
+            self.procs.kill(p, self.cycle);
             self.rec.nack_due[p] = u64::MAX;
             self.stats.faults.fail_stops += 1;
             self.record_fault(Some(p), FaultClass::ProcFailStop, 0);
-            self.procs.stats[p].dead += 1;
             return;
         }
         if self.config.faults.stall_mean_interval > 0 {
-            if self.cycle >= self.procs.stall_until[p] && self.cycle >= self.procs.next_stall[p] {
+            if self.procs.is_frozen(p) && self.cycle >= self.procs.stall_until[p] {
+                self.procs.thaw(p, self.procs.stall_until[p]);
+            }
+            if !self.procs.is_frozen(p) && self.cycle >= self.procs.next_stall[p] {
                 // Stall onset: freeze this processor for a bounded
-                // interval and schedule the next onset.
+                // interval and schedule the next onset. A compute in
+                // progress resumes where it stopped, so it retires
+                // later by the stall's length.
                 let len = u64::from(self.rng.range_u32(1, self.config.faults.stall_max));
                 self.procs.stall_until[p] = self.cycle + len;
                 let mean = u64::from(self.config.faults.stall_mean_interval);
                 self.procs.next_stall[p] = self.procs.stall_until[p] + 1 + self.rng.below(2 * mean);
-                self.procs.mark_wake(p);
+                self.procs.extend_compute(p, len);
+                self.procs.freeze(p, self.cycle);
                 self.stats.faults.stalls += 1;
                 self.stats.faults.stall_cycles += len;
                 self.record_fault(Some(p), FaultClass::ProcStall, len);
             }
-            if self.cycle < self.procs.stall_until[p] {
+            if self.procs.is_frozen(p) {
                 // A stall freezes real work, but trace notes are
                 // bookkeeping, not machine work: an instruction that
                 // already completed (e.g. a keyed access whose
@@ -58,56 +73,30 @@ impl<'a> Machine<'a> {
                 // witnessed now, or the trace would misreport the order
                 // the hardware actually enforced.
                 self.drain_notes(p);
-                self.procs.stats[p].stalled += 1;
-                // A frozen `Ready` processor drains notes every stalled
-                // cycle (its wake is "next cycle" until the freeze ends),
-                // so its deadline must be re-armed each cycle.
-                self.procs.mark_wake(p);
                 return;
-            }
-            if self.cycle == self.procs.stall_until[p] {
-                // Thaw cycle: the wake cached during the freeze (the
-                // freeze's own end) expires now, and the processor may
-                // step on without any lane write — re-arm against its
-                // real deadlines (next stall onset, NACK due, ...).
-                self.procs.mark_wake(p);
             }
         }
         loop {
             match self.procs.state(p) {
                 ProcState::Idle => {
                     if !self.try_dispatch(p) {
-                        self.procs.stats[p].idle += 1;
                         return;
                     }
                     // Dispatch may impose latency (state becomes Computing)
                     // or leave the proc Ready; loop to handle either.
                 }
-                ProcState::Computing { remaining } => {
-                    self.procs.stats[p].busy += 1;
-                    self.note_progress();
-                    self.procs.tick_computing(p, remaining - 1);
-                    return;
-                }
-                ProcState::BlockedData | ProcState::BlockedSync => {
-                    self.procs.stats[p].blocked += 1;
-                    return;
+                ProcState::Computing { .. } | ProcState::BlockedData | ProcState::BlockedSync => {
+                    return
                 }
                 ProcState::SpinLocal { var, pred } => {
                     if pred.eval(self.sync.image(p, var)) {
                         self.close_wait(p);
-                        self.procs.set_state(p, ProcState::Ready);
-                        // The successful check still costs this cycle.
-                        self.procs.stats[p].spin += 1;
-                        return;
-                    }
-                    if self.cycle >= self.rec.nack_due[p] {
-                        // `check_gap` re-arms (or parks) the NACK
-                        // deadline this wake is keyed on.
-                        self.procs.mark_wake(p);
+                        // The successful check still costs this cycle:
+                        // the processor is ready from the next one.
+                        self.procs.set_state(p, ProcState::Ready, self.cycle + 1);
+                    } else if self.cycle >= self.rec.nack_due[p] {
                         self.check_gap(p, var, pred);
                     }
-                    self.procs.stats[p].spin += 1;
                     return;
                 }
                 ProcState::SpinMem { retry, phase } => {
@@ -117,15 +106,15 @@ impl<'a> Machine<'a> {
                             self.procs.set_state(
                                 p,
                                 ProcState::SpinMem { retry, phase: SpinPhase::WaitingResult },
+                                self.cycle,
                             );
                         }
                     }
-                    self.procs.stats[p].spin += 1;
                     return;
                 }
                 ProcState::Ready => {
-                    // Issue the next instruction; cost (if any) is applied
-                    // by the state branch on the next loop pass, so issuing
+                    // Issue the next instruction; its cost (if any) is
+                    // the state it leaves the processor in, so issuing
                     // does not add a cycle of its own.
                     self.execute_next_instr(p);
                 }
@@ -159,7 +148,7 @@ impl<'a> Machine<'a> {
         let prog_ix = match self.procs.current(p) {
             Some(ix) => ix,
             None => {
-                self.procs.set_state(p, ProcState::Idle);
+                self.procs.set_state(p, ProcState::Idle, self.cycle);
                 return;
             }
         };
@@ -167,10 +156,10 @@ impl<'a> Machine<'a> {
         let program = &self.workload.programs[prog_ix];
         if ip >= program.instrs.len() {
             self.disp.done[prog_ix] = true;
-            self.disp.dirty = true;
             self.procs.set_current(p, None);
             self.procs.ip[p] = 0;
-            self.procs.set_state(p, ProcState::Idle);
+            self.procs.set_state(p, ProcState::Idle, self.cycle);
+            self.wake_claimers();
             return;
         }
         let instr = program.instrs[ip];
@@ -185,14 +174,15 @@ impl<'a> Machine<'a> {
         match instr {
             Instr::Compute(0) => {}
             Instr::Compute(c) => {
-                self.procs.set_state(p, ProcState::Computing { remaining: c });
+                let until = self.cycle + u64::from(c);
+                self.procs.set_state(p, ProcState::Computing { until }, self.cycle);
             }
             Instr::Note(label) => {
                 self.trace.record(self.cycle, p, label);
             }
             Instr::Access { addr, write } => {
                 self.issue_data(DataReq::new(p, DataReqKind::Access { write }, addr));
-                self.procs.set_state(p, ProcState::BlockedData);
+                self.procs.set_state(p, ProcState::BlockedData, self.cycle);
             }
             Instr::SyncSet { var, val } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
@@ -205,20 +195,20 @@ impl<'a> Machine<'a> {
                         DataReqKind::SyncWrite { var, val },
                         var as u64,
                     ));
-                    self.procs.set_state(p, ProcState::BlockedData);
+                    self.procs.set_state(p, ProcState::BlockedData, self.cycle);
                 }
             },
             Instr::SyncRmw { var } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
                     self.metrics.sync_vars[var].rmws += 1;
                     if !fabric.rmw(self, p, var) {
-                        self.procs.set_state(p, ProcState::BlockedSync);
+                        self.procs.set_state(p, ProcState::BlockedSync, self.cycle);
                     }
                 }
                 SyncTransport::SharedMemory => {
                     self.metrics.sync_vars[var].rmws += 1;
                     self.issue_data(DataReq::new(p, DataReqKind::SyncRmw { var }, var as u64));
-                    self.procs.set_state(p, ProcState::BlockedData);
+                    self.procs.set_state(p, ProcState::BlockedData, self.cycle);
                 }
             },
             Instr::SyncWait { var, pred } => match self.config.sync_transport {
@@ -226,7 +216,7 @@ impl<'a> Machine<'a> {
                     self.metrics.sync_vars[var].waits += 1;
                     if !pred.eval(self.sync.image(p, var)) {
                         self.begin_wait(p, var, false);
-                        self.procs.set_state(p, ProcState::SpinLocal { var, pred });
+                        self.procs.set_state(p, ProcState::SpinLocal { var, pred }, self.cycle);
                     }
                 }
                 SyncTransport::SharedMemory => {
@@ -237,6 +227,7 @@ impl<'a> Machine<'a> {
                     self.procs.set_state(
                         p,
                         ProcState::SpinMem { retry: kind, phase: SpinPhase::WaitingResult },
+                        self.cycle,
                     );
                 }
             },
@@ -252,7 +243,7 @@ impl<'a> Machine<'a> {
                         DataReqKind::ReadCheck { var, guard, val },
                         var as u64,
                     ));
-                    self.procs.set_state(p, ProcState::BlockedData);
+                    self.procs.set_state(p, ProcState::BlockedData, self.cycle);
                 }
             },
             Instr::KeyedAccess { var, geq } => match self.config.sync_transport {
@@ -260,14 +251,18 @@ impl<'a> Machine<'a> {
                     if self.sync.image(p, var) >= geq {
                         self.metrics.sync_vars[var].rmws += 1;
                         if !fabric.rmw(self, p, var) {
-                            self.procs.set_state(p, ProcState::BlockedSync);
+                            self.procs.set_state(p, ProcState::BlockedSync, self.cycle);
                         }
                     } else {
                         // Spin on the local image, then re-issue this
                         // instruction once the key advances.
                         self.begin_wait(p, var, false);
                         self.procs.ip[p] -= 1;
-                        self.procs.set_state(p, ProcState::SpinLocal { var, pred: Pred::Geq(geq) });
+                        self.procs.set_state(
+                            p,
+                            ProcState::SpinLocal { var, pred: Pred::Geq(geq) },
+                            self.cycle,
+                        );
                     }
                 }
                 SyncTransport::SharedMemory => {
@@ -277,6 +272,7 @@ impl<'a> Machine<'a> {
                     self.procs.set_state(
                         p,
                         ProcState::SpinMem { retry: kind, phase: SpinPhase::WaitingResult },
+                        self.cycle,
                     );
                 }
             },

@@ -207,11 +207,6 @@ pub(crate) struct SyncState {
     /// every queue is empty), so quiescent processors cost nothing in
     /// [`Machine::apply_deferred_images`].
     pub(crate) due_min: u64,
-    /// Set when the [`IdealFabric`] oracle rewrites every image
-    /// mid-cycle (during the processor loop): wakes cached by
-    /// already-stepped spinners may now be too late, so the stepper must
-    /// re-arm them. Cleared by the stepper each cycle.
-    pub(crate) images_touched: bool,
     /// Two-level transport state ([`ClusteredFabric`] only; `None` on
     /// flat fabrics, whose behaviour is untouched).
     pub(crate) cluster: Option<Box<ClusterState>>,
@@ -230,7 +225,6 @@ impl SyncState {
             defer: vec![VecDeque::new(); p], // alloc-ok: setup
             defer_len: 0,
             due_min: u64::MAX,
-            images_touched: false,
             cluster: None,
         }
     }
@@ -541,8 +535,8 @@ impl<'a> Machine<'a> {
         self.stats.sync_ops_issued += 1;
         self.stats.sync_broadcasts += 1;
         self.sync.vars.global[var] = val;
-        self.sync.var_images_mut(var).fill(val);
-        self.sync.images_touched = true;
+        let procs = self.sync.procs;
+        self.deliver_unfaulted(var, val, 0, procs);
         self.events
             .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
         self.note_progress();
@@ -1023,10 +1017,20 @@ impl<'a> Machine<'a> {
     pub(crate) fn deliver_images(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
         let f = self.config.faults;
         if f.broadcast_loss_pct == 0 && f.stale_image_pct == 0 && self.sync.defer_len == 0 {
-            self.sync.var_images_mut(var)[lo..hi].fill(val);
+            self.deliver_unfaulted(var, val, lo, hi);
             return;
         }
         self.deliver_images_faulted(var, val, lo, hi);
+    }
+
+    /// The batched delivery: one fill of the variable's image lane,
+    /// then a wake of exactly the local spinners in `lo..hi` the value
+    /// satisfies — O(1) while it is below every waiter's bound (a
+    /// barrier count still climbing), a walk of the variable's waiters
+    /// otherwise.
+    fn deliver_unfaulted(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
+        self.sync.var_images_mut(var)[lo..hi].fill(val);
+        self.kernel.waiter_walks += u64::from(self.procs.wake_waiters(var, val, lo, hi));
     }
 
     /// The per-processor delivery walk for runs with image faults armed
@@ -1059,6 +1063,7 @@ impl<'a> Machine<'a> {
                 self.sync.push_defer(p, pending, var, val);
             } else {
                 self.sync.set_image(p, var, val);
+                self.procs.wake_if_satisfied(p, var, val);
             }
         }
     }
@@ -1078,6 +1083,7 @@ impl<'a> Machine<'a> {
                 }
                 self.sync.pop_defer(p);
                 self.sync.set_image(p, var, val);
+                self.procs.wake_if_satisfied(p, var, val);
                 self.note_progress();
             }
             if let Some(&(when, _, _)) = self.sync.defer[p].front() {

@@ -274,6 +274,7 @@ impl<'a> Machine<'a> {
                                 until: self.cycle + u64::from(self.config.spin_retry),
                             },
                         },
+                        self.cycle,
                     );
                 }
             }
@@ -305,6 +306,7 @@ impl<'a> Machine<'a> {
                                 until: self.cycle + u64::from(self.config.spin_retry),
                             },
                         },
+                        self.cycle,
                     );
                 }
             }

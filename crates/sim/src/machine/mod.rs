@@ -24,9 +24,13 @@
 //!   per-processor wait-episode bookkeeping it hangs off;
 //! * `exec` — the per-processor execution step that drives all of the
 //!   above through one instruction at a time;
+//! * `lanes` — per-processor state in struct-of-arrays lanes, with the
+//!   lazy cycle accounting and population counters its writes maintain;
 //! * `schedule` — the **event schedule**: a calendar (bucket) queue over
-//!   per-processor wake deadlines, so the fast-forward kernel finds its
-//!   next event in O(occupied-buckets) instead of an O(P) scan.
+//!   per-processor wake deadlines, which tells the kernel both *when* the
+//!   next event is and *which* processors are due at a stepped cycle,
+//!   plus the wake set and the per-variable waiter index that turn lane
+//!   writes and image deliveries into targeted wakes.
 //!
 //! Data layout is struct-of-arrays: per-processor state lives in
 //! [`ProcLanes`] (one lane per field, not a `Vec` of processor structs)
@@ -40,31 +44,42 @@
 //! fault decision comes from a splitmix64 stream seeded by the plan, so
 //! a faulted run is reproducible byte-for-byte from its configuration.
 //!
-//! Stepping: per-cycle stepping ([`StepMode::Reference`]) is the
-//! executable specification, but the default execution engine is an
-//! **event-driven fast-forward kernel** ([`StepMode::FastForward`]) that
-//! jumps over *quiet* cycles — cycles in which the machine provably does
-//! nothing but tick stat counters — directly to the next observable
-//! event (transaction completion, bank completion, deferred image due
-//! time, compute retirement, spin-backoff expiry, stall boundary), bulk
-//! charging the skipped cycles to the same per-processor stat buckets
-//! the reference stepper would have ticked. Every RNG draw and trace
-//! write happens only at non-quiet cycles, so the two modes produce
-//! **bit-for-bit identical** [`RunStats`], [`Trace`] and `sync_final`
-//! (enforced by the equivalence tests) — under every fabric backend,
-//! because both modes drive the same subsystem interfaces.
+//! Stepping: there is **one transition function**
+//! ([`Machine::step_proc`]) and two visit policies. A processor that has
+//! nothing to do this cycle is *quiet*, and visiting a quiet processor
+//! is a no-op — cycle accounting is lazy (see [`ProcLanes`]): nothing
+//! ticks per cycle, the elapsed span is charged to a processor's
+//! current bucket only when a lane write changes that bucket.
+//! [`StepMode::Reference`], the executable specification, visits all P
+//! processors every cycle. The default **wake-driven fast-forward
+//! kernel** ([`StepMode::FastForward`]) skips what the reference mode
+//! proves unobservable: it jumps over cycles in which nothing acts, and
+//! at a stepped cycle visits only the processors that are *due* — so a
+//! busy-waiting processor costs the host nothing, as §6's local images
+//! cost the bus nothing. Every RNG draw and trace write happens at a
+//! visit of a non-quiet processor or in the channel phases, in the same
+//! order in both modes, so they produce **bit-for-bit identical**
+//! [`RunStats`], [`Trace`], `sync_final` and metrics (enforced by the
+//! equivalence tests) under every fabric backend.
 //!
-//! The next observable event comes from two sources: the O(banks)
-//! [`Machine::channel_horizon`] over the buses, banks and deferred-image
-//! due time, and the [`schedule::Calendar`] over per-processor wake
-//! deadlines, each refreshed in O(1) as its processor steps. A cached
-//! wake is always a **lower bound** on the processor's true next event:
-//! waking too early merely steps a quiet cycle (bit-identical by the
-//! quiet-cycle invariant), while waking late would miss an event — so
-//! every mutation that can pull an event earlier (a program completing,
-//! an oracle broadcast touching every image, a recovery rung) re-arms
-//! the affected wakes. Debug builds cross-check every jump against the
-//! retained linear-scan oracle ([`Machine::scan_horizon`]).
+//! The wake contract. Each processor has a wake deadline in the
+//! [`schedule::Calendar`]; it is a **lower bound** on the processor's
+//! next action (an early visit is a no-op, a late one is a bug). The
+//! visit set of a stepped cycle is *calendar-due ∪ touched*: processors
+//! whose deadline has come, plus those whose lanes were written in this
+//! cycle's complete/grant phase. They are visited in ascending id (RNG
+//! draws, trace order and queue order depend on it). A processor made
+//! runnable while the loop runs is picked up in the same cycle if its id
+//! is still ahead, and scheduled for `cycle + 1` if its slot has passed
+//! — exactly when the all-P walk would have reached it. Every wake
+//! source is explicit: lane writes mark their own processor, an image
+//! delivery wakes the local spinners it can satisfy through the waiter
+//! index, a program completion wakes idle processors only when rescued
+//! work may have become claimable. The next event time is the minimum
+//! of the O(banks) [`Machine::channel_horizon`] and the calendar's
+//! earliest deadline. Debug builds assert at every stepped cycle that
+//! each unvisited processor is quiet and cross-check every jump against
+//! the retained linear-scan oracle ([`Machine::scan_horizon`]).
 //!
 //! Liveness under faults: on top of the precise [`Machine::deadlocked`]
 //! check, a **progress watchdog** tracks the last cycle on which the
@@ -80,6 +95,7 @@ mod cache;
 mod dispatch;
 mod exec;
 pub mod fabric;
+mod lanes;
 mod memory;
 mod recovery_engine;
 mod schedule;
@@ -92,13 +108,15 @@ use crate::config::{FabricKind, MachineConfig, MemoryModel};
 use crate::events::{EventRing, SimEventKind};
 use crate::faults::FaultClass;
 use crate::metrics::RunMetrics;
-use crate::program::{Pred, SyncVar};
+use crate::program::SyncVar;
 use crate::rng::SplitMix64;
 use crate::stats::{ProcBreakdown, RunStats};
 use crate::trace::Trace;
 use cache::CacheSystem;
 use dispatch::Dispatcher;
 use fabric::SyncState;
+use lanes::ProcLanes;
+pub(crate) use lanes::{ProcState, SpinPhase};
 use memory::{DataReqKind, MemorySystem};
 use recovery_engine::RecoveryEngine;
 use schedule::Calendar;
@@ -156,6 +174,57 @@ pub struct RunOutcome {
     /// Structured events — empty unless recording was turned on with
     /// [`Machine::enable_events`].
     pub events: EventRing,
+    /// Host-side work the simulator kernel did to produce the run.
+    pub kernel: KernelCounters,
+}
+
+/// Deterministic work counters of the simulator kernel: what the host
+/// did, not what the simulated machine did. They are outside `stats`
+/// and `metrics` because they are allowed to depend on the step mode —
+/// but only in the first three: [`StepMode::Reference`] steps every
+/// cycle and visits every processor, and everything else (calendar,
+/// waiter index, accounting) runs identically in both modes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Cycles stepped for real (channel phases + processor visits).
+    pub stepped_cycles: u64,
+    /// Fast-forward jumps over a quiet span.
+    pub quiet_jumps: u64,
+    /// Calls of the per-processor transition function.
+    pub procs_visited: u64,
+    /// Processors the wake calendar put into a stepped cycle's visit
+    /// set because their deadline had come.
+    pub calendar_drains: u64,
+    /// Image deliveries that walked a variable's waiter list (the rest
+    /// were rejected in O(1) by the cached minimum threshold).
+    pub waiter_walks: u64,
+    /// Spans charged to a [`ProcBreakdown`] bucket by lazy accounting.
+    pub accounting_flushes: u64,
+}
+
+impl KernelCounters {
+    /// The P-independence gate's ceiling on [`Self::visits_per_op`].
+    pub const VISITS_PER_OP_MAX: f64 = 8.0;
+    /// How far [`Self::visits_per_op`] may grow from a small machine to
+    /// a large one before the gate calls the event cost P-dependent.
+    pub const VISITS_GROWTH_MAX: f64 = 2.0;
+
+    /// The P-independence gate on one workload: `visits_per_op` on a
+    /// large machine is within [`Self::VISITS_GROWTH_MAX`] of the small
+    /// machine's and under [`Self::VISITS_PER_OP_MAX`]. `datasync perf
+    /// --check` and the sim crate's scaling test share it.
+    pub fn p_independent(small: f64, large: f64) -> bool {
+        large <= Self::VISITS_PER_OP_MAX && large <= Self::VISITS_GROWTH_MAX * small
+    }
+
+    /// Processor visits per simulator operation (dispatches + sync
+    /// operations issued + data transactions) — the host-independent
+    /// measure of per-event kernel cost. P-independent when the kernel
+    /// only visits processors that act.
+    pub fn visits_per_op(&self, stats: &RunStats) -> f64 {
+        let ops = stats.dispatched + stats.sync_ops_issued + stats.data_transactions;
+        self.procs_visited as f64 / ops.max(1) as f64
+    }
 }
 
 /// Runs a workload to completion on a machine.
@@ -186,222 +255,15 @@ pub fn run_reference(config: &MachineConfig, workload: &Workload) -> Result<RunO
 /// How the run loop advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Event-driven: jump over provably-quiet cycles directly to the
-    /// next observable event, bulk-charging the skipped cycles to the
-    /// correct stat buckets. Bit-identical to [`StepMode::Reference`].
+    /// Wake-driven: jump over cycles in which nothing acts, and at a
+    /// stepped cycle visit only the processors that are due.
+    /// Bit-identical to [`StepMode::Reference`].
     #[default]
     FastForward,
-    /// One cycle per step — the executable specification. Kept for the
-    /// equivalence tests and as the trusted baseline for `datasync perf`.
+    /// Every cycle stepped, every processor visited — the executable
+    /// specification. Kept for the equivalence tests and as the trusted
+    /// baseline for `datasync perf`.
     Reference,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SpinPhase {
-    WaitingResult,
-    Backoff { until: u64 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProcState {
-    Idle,
-    Ready,
-    Computing {
-        remaining: u32,
-    },
-    BlockedData,
-    BlockedSync,
-    SpinLocal {
-        var: SyncVar,
-        pred: Pred,
-    },
-    /// Busy-wait through shared memory: `retry` is re-issued after each
-    /// backoff until it succeeds.
-    SpinMem {
-        retry: DataReqKind,
-        phase: SpinPhase,
-    },
-}
-
-/// Per-processor state in struct-of-arrays layout: one lane per field,
-/// so the per-cycle loops and the fast-forward bulk-charge walk
-/// contiguous memory instead of striding over a `Vec` of processor
-/// structs.
-///
-/// The `state` and `dead` lanes are private: every transition must go
-/// through [`ProcLanes::set_state`] / [`ProcLanes::set_current`] /
-/// [`ProcLanes::kill`], which maintain the cached population counters
-/// (`engaged`, `active`, `computing`) that make [`Machine::finished`],
-/// [`Machine::deadlocked`] and the watchdog's progressing test O(1) on
-/// the fast path.
-#[derive(Debug)]
-pub(crate) struct ProcLanes {
-    state: Vec<ProcState>,
-    current: Vec<Option<usize>>,
-    pub(crate) ip: Vec<usize>,
-    /// Index of the instruction execution would resume from if this
-    /// program had to move to another processor right now: everything
-    /// before it has fully retired (re-running it would duplicate side
-    /// effects), nothing at or after it has (skipping it would lose
-    /// work). Maintained at dispatch and at every instruction issue;
-    /// the fail-stop rescue rung reads it when reclaiming work.
-    pub(crate) resume_ip: Vec<usize>,
-    pub(crate) stats: Vec<ProcBreakdown>,
-    /// Per-processor injected-stall end cycle (0 = not stalled).
-    pub(crate) stall_until: Vec<u64>,
-    /// Per-processor cycle of the next stall onset (`u64::MAX` when
-    /// stalls are disabled).
-    pub(crate) next_stall: Vec<u64>,
-    /// Per-processor planned fail-stop cycle (`u64::MAX` = never).
-    pub(crate) fail_at: Vec<u64>,
-    /// Fail-stop flag: a dead processor never steps, dispatches or
-    /// answers the sync bus again; its cycles accrue to `dead`.
-    dead: Vec<bool>,
-    /// One bit per processor: set when a lane write may have moved the
-    /// processor's wake deadline, cleared when the fast-forward stepper
-    /// re-arms it. Wakes are *absolute* cycles (a computing processor's
-    /// retire cycle, a spinner's NACK deadline), so a processor whose
-    /// bit is clear still has a live, correct calendar entry — the
-    /// stepper only recomputes wakes for dirtied processors instead of
-    /// all P every cycle.
-    wake_dirty: Vec<u64>,
-    /// Processors (dead or alive) that are not (`Idle` with no program):
-    /// 0 is the processor side of [`Machine::finished`].
-    engaged: usize,
-    /// Live processors in `Ready`/`Computing`/`Blocked*` — states that
-    /// by themselves rule out a deadlock verdict.
-    active: usize,
-    /// Live processors in `Computing` — each notes progress every
-    /// cycle, which is what the watchdog's progressing test wants.
-    computing: usize,
-}
-
-impl ProcLanes {
-    fn new(p: usize, next_stall: Vec<u64>, fail_at: Vec<u64>) -> Self {
-        // Every bit starts dirty so the first stepped cycle arms every
-        // wake (processors that never transition — idle with no work —
-        // would otherwise keep their initial cycle-0 deadline forever).
-        let mut wake_dirty = vec![u64::MAX; p.div_ceil(64)];
-        if !p.is_multiple_of(64) {
-            *wake_dirty.last_mut().expect("at least one word") = (1u64 << (p % 64)) - 1;
-        }
-        Self {
-            state: vec![ProcState::Idle; p],
-            current: vec![None; p],
-            ip: vec![0; p],
-            resume_ip: vec![0; p],
-            stats: vec![ProcBreakdown::default(); p],
-            stall_until: vec![0; p],
-            next_stall,
-            fail_at,
-            dead: vec![false; p],
-            wake_dirty,
-            engaged: 0,
-            active: 0,
-            computing: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    #[inline]
-    pub(crate) fn state(&self, p: usize) -> ProcState {
-        self.state[p]
-    }
-
-    #[inline]
-    pub(crate) fn current(&self, p: usize) -> Option<usize> {
-        self.current[p]
-    }
-
-    #[inline]
-    pub(crate) fn is_dead(&self, p: usize) -> bool {
-        self.dead[p]
-    }
-
-    /// This processor's contribution to the cached counters under its
-    /// current lanes.
-    #[inline]
-    fn contrib(&self, p: usize) -> (usize, usize, usize) {
-        let engaged =
-            usize::from(!(matches!(self.state[p], ProcState::Idle) && self.current[p].is_none()));
-        if self.dead[p] {
-            return (engaged, 0, 0);
-        }
-        match self.state[p] {
-            ProcState::Ready | ProcState::BlockedData | ProcState::BlockedSync => (engaged, 1, 0),
-            ProcState::Computing { .. } => (engaged, 1, 1),
-            _ => (engaged, 0, 0),
-        }
-    }
-
-    #[inline]
-    fn retract(&mut self, p: usize) {
-        let (e, a, c) = self.contrib(p);
-        self.engaged -= e;
-        self.active -= a;
-        self.computing -= c;
-    }
-
-    #[inline]
-    fn restore(&mut self, p: usize) {
-        let (e, a, c) = self.contrib(p);
-        self.engaged += e;
-        self.active += a;
-        self.computing += c;
-    }
-
-    /// Flags `p`'s wake deadline as needing recomputation at the end of
-    /// the current stepped cycle.
-    #[inline]
-    pub(crate) fn mark_wake(&mut self, p: usize) {
-        self.wake_dirty[p / 64] |= 1 << (p % 64);
-    }
-
-    #[inline]
-    pub(crate) fn set_state(&mut self, p: usize, s: ProcState) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.state[p] = s;
-        self.restore(p);
-    }
-
-    /// Advances a `Computing` processor to `left` remaining cycles
-    /// (reaching `Ready` at zero). Both transitions keep the processor
-    /// engaged and active, so only the `computing` counter can change —
-    /// this is the hottest state write in both stepping modes, and it
-    /// skips the full retract/restore recount of [`Self::set_state`].
-    /// It also leaves the wake bit clean: the processor's wake is the
-    /// absolute cycle it issues again (retire + 1 while computing, the
-    /// same cycle once `Ready`), which ticking never moves.
-    #[inline]
-    pub(crate) fn tick_computing(&mut self, p: usize, left: u32) {
-        debug_assert!(matches!(self.state[p], ProcState::Computing { .. }));
-        if left == 0 {
-            self.state[p] = ProcState::Ready;
-            self.computing -= usize::from(!self.dead[p]);
-        } else {
-            self.state[p] = ProcState::Computing { remaining: left };
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set_current(&mut self, p: usize, cur: Option<usize>) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.current[p] = cur;
-        self.restore(p);
-    }
-
-    /// Marks processor `p` fail-stopped (never un-killed).
-    pub(crate) fn kill(&mut self, p: usize) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.dead[p] = true;
-        self.restore(p);
-    }
 }
 
 /// The machine state (see [`run`] for the one-shot entry point).
@@ -431,9 +293,10 @@ pub struct Machine<'a> {
     pub(crate) disp: Dispatcher,
     /// Self-healing ladder state and wait-episode bookkeeping.
     pub(crate) rec: RecoveryEngine,
-    /// Calendar queue over per-processor wake deadlines — the
-    /// fast-forward kernel's next-event index (unused by the reference
-    /// stepper).
+    /// Calendar queue over per-processor wake deadlines: the next
+    /// event time for a jump, the due processors for a stepped cycle.
+    /// Maintained identically in both step modes (the reference stepper
+    /// just does not act on it).
     sched: Calendar,
     pub(crate) stats: RunStats,
     pub(crate) trace: Trace,
@@ -452,6 +315,8 @@ pub struct Machine<'a> {
     /// Structured event ring; disabled (capacity 0) unless
     /// [`Machine::enable_events`] was called.
     pub(crate) events: EventRing,
+    /// Host-side work counters (see [`KernelCounters`]).
+    pub(crate) kernel: KernelCounters,
 }
 
 impl<'a> Machine<'a> {
@@ -553,6 +418,7 @@ impl<'a> Machine<'a> {
             trace: Trace::new(),
             metrics: RunMetrics::new(p, n_vars),
             events: EventRing::disabled(),
+            kernel: KernelCounters::default(),
             rng,
             last_progress: 0,
             watchdog_limit,
@@ -619,13 +485,16 @@ impl<'a> Machine<'a> {
             if self.finished() {
                 let mut stats = std::mem::take(&mut self.stats);
                 stats.makespan = self.cycle;
+                self.procs.flush_all(self.cycle);
                 stats.procs.copy_from_slice(&self.procs.stats);
+                self.kernel.accounting_flushes = self.procs.flushes;
                 return Ok(RunOutcome {
                     stats,
                     trace: std::mem::take(&mut self.trace),
                     sync_final: std::mem::take(&mut self.sync.vars.global),
                     metrics: std::mem::take(&mut self.metrics),
                     events: std::mem::take(&mut self.events),
+                    kernel: self.kernel,
                 });
             }
             if self.cycle >= self.config.max_cycles {
@@ -641,7 +510,7 @@ impl<'a> Machine<'a> {
                 // polls count as progress — so a dead producer under the
                 // shared-memory transport never trips the watchdog.
                 if self.rec.on && self.watchdog_rescue() {
-                    self.refresh_all_wakes_now();
+                    self.rearm_all_wakes();
                     continue;
                 }
                 if self.rec.on && self.rescue_settling() {
@@ -671,7 +540,7 @@ impl<'a> Machine<'a> {
                 // repair rung first — force-sync healable images from the
                 // global state and keep running instead of failing.
                 if self.rec.on && self.watchdog_repair() {
-                    self.refresh_all_wakes_now();
+                    self.rearm_all_wakes();
                     continue;
                 }
                 // Repair can't help (no gapped-but-satisfied image). If
@@ -680,7 +549,7 @@ impl<'a> Machine<'a> {
                 // reclaim the fail-stopped processors' unretired work
                 // and reissue it to the survivor quorum.
                 if self.rec.on && self.watchdog_rescue() {
-                    self.refresh_all_wakes_now();
+                    self.rearm_all_wakes();
                     continue;
                 }
                 // Livelock: cycles are being burned (spins, redeliveries,
@@ -887,30 +756,85 @@ impl<'a> Machine<'a> {
             })
     }
 
+    /// One stepped cycle: the channel phases, then the processors —
+    /// all of them under [`StepMode::Reference`], only the wake set
+    /// (calendar-due ∪ touched) under [`StepMode::FastForward`] — then
+    /// the calendar re-arm of everyone in the wake set.
     fn step(&mut self) {
+        self.kernel.stepped_cycles += 1;
         self.apply_deferred_images();
         self.complete_transactions();
         self.grant_transactions();
-        let ff = matches!(self.mode, StepMode::FastForward);
-        self.disp.dirty = false;
-        self.sync.images_touched = false;
-        for p in 0..self.procs.len() {
-            self.step_proc(p);
-        }
-        if ff {
-            if self.disp.dirty || self.sync.images_touched {
-                // A program completed (making parked work claimable) or an
-                // oracle broadcast rewrote every image mid-loop: wakes
-                // cached before the change could now be too late — re-arm
-                // them all.
-                self.refresh_all_wakes();
-            } else {
-                // Only processors whose lanes were written this cycle can
-                // have moved their (absolute) wake deadline.
-                self.drain_dirty_wakes();
+        let (procs, kernel) = (&mut self.procs, &mut self.kernel);
+        self.sched.drain_due(self.cycle, |p| {
+            kernel.calendar_drains += u64::from(!procs.wake.contains(p));
+            procs.mark_wake(p);
+        });
+        match self.mode {
+            StepMode::FastForward => {
+                // Ascending id. A processor marked while the loop runs
+                // is taken this cycle if its id is still ahead; an
+                // earlier one stays in the set and is re-armed for the
+                // next cycle below.
+                let mut from = 0;
+                while let Some(p) = self.procs.wake.take_next(from) {
+                    #[cfg(debug_assertions)]
+                    self.assert_quiet(from, p);
+                    self.step_proc(p);
+                    self.kernel.procs_visited += 1;
+                    // A visit consumes the deadline it was due on.
+                    self.procs.mark_wake(p);
+                    from = p + 1;
+                }
+                #[cfg(debug_assertions)]
+                self.assert_quiet(from, self.procs.len());
+            }
+            StepMode::Reference => {
+                for p in 0..self.procs.len() {
+                    #[cfg(debug_assertions)]
+                    let scheduled = self.procs.wake.contains(p);
+                    self.step_proc(p);
+                    #[cfg(debug_assertions)]
+                    debug_assert!(
+                        scheduled || !self.procs.wake.contains(p),
+                        "processor {p} acted at cycle {} without being due or touched",
+                        self.cycle
+                    );
+                }
+                self.kernel.procs_visited += self.procs.len() as u64;
             }
         }
+        for w in 0..self.procs.wake.words() {
+            let mut word = self.procs.wake.take_word(w);
+            while word != 0 {
+                let p = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let wake = self.proc_wake(p, self.cycle + 1);
+                self.sched.schedule(p, wake);
+            }
+        }
+        // A computing processor makes progress every cycle it computes;
+        // nothing ticks per cycle, so note it once for all of them.
+        if self.procs.computing > 0 {
+            self.note_progress();
+        }
         self.cycle += 1;
+    }
+
+    /// Debug check of the wake contract: no processor in `lo..hi` is in
+    /// this cycle's visit set, so each must be quiet — its wake is
+    /// still ahead. (A late wake would make fast-forward diverge from
+    /// the reference stepper, which visits everyone.)
+    #[cfg(debug_assertions)]
+    fn assert_quiet(&self, lo: usize, hi: usize) {
+        for q in lo..hi {
+            debug_assert!(
+                self.proc_wake(q, self.cycle) > self.cycle,
+                "processor {q} is due at cycle {} but was not visited ({:?})",
+                self.cycle,
+                self.procs.state(q)
+            );
+        }
     }
 
     /// Data-path completions first, then the fabric's broadcast
@@ -1013,26 +937,29 @@ impl<'a> Machine<'a> {
     /// The earliest cycle at or after `c1` at which processor `p` can do
     /// anything observable — `u64::MAX` if it never will on its own.
     /// `c1` is the first cycle the wake could land on: `cycle + 1` when
-    /// evaluated at the end of a stepped cycle (the per-step refresh),
-    /// `cycle` itself when the current cycle has not been stepped yet (a
-    /// recovery rung healed state mid-loop). It mirrors
-    /// [`Machine::scan_horizon`]'s per-processor clauses; every quantity
-    /// it reads is either owned by `p`'s own step or re-armed by the
-    /// dirty-flag refreshes in [`Machine::step`].
+    /// evaluated at the end of a stepped cycle (the re-arm), `cycle`
+    /// itself when the current cycle has not been stepped yet (a
+    /// recovery rung changed state between cycles, or the debug quiet
+    /// check). It mirrors [`Machine::scan_horizon`]'s per-processor
+    /// clauses. Every quantity it reads is either written only by `p`'s
+    /// own visit (which re-arms), an absolute deadline, or covered by an
+    /// explicit wake: image deliveries go through the waiter index, and
+    /// a program completion that may free claimable work wakes the idle
+    /// processors.
     fn proc_wake(&self, p: usize, c1: u64) -> u64 {
         if self.procs.is_dead(p) {
             return u64::MAX;
         }
         let mut wake = self.procs.fail_at[p];
         if self.config.faults.stall_mean_interval > 0 {
-            let until = self.procs.stall_until[p];
-            if c1 < until {
-                // Frozen mid-stall; only a Ready processor (which drains
-                // trace notes every stalled cycle) steps sooner.
+            if self.procs.is_frozen(p) {
+                // Frozen until the thaw visit at `stall_until`; only a
+                // Ready processor (which drains trace notes while
+                // stalled) steps sooner.
                 if matches!(self.procs.state(p), ProcState::Ready) {
                     return wake.min(c1);
                 }
-                return wake.min(until);
+                return wake.min(self.procs.stall_until[p].max(c1));
             }
             wake = wake.min(self.procs.next_stall[p]);
         }
@@ -1045,7 +972,7 @@ impl<'a> Machine<'a> {
                 }
             }
             ProcState::Ready => wake.min(c1),
-            ProcState::Computing { remaining } => wake.min(c1 + u64::from(remaining)),
+            ProcState::Computing { until } => wake.min(until.max(c1)),
             ProcState::BlockedData | ProcState::BlockedSync => wake,
             ProcState::SpinLocal { var, pred } => {
                 if pred.eval(self.sync.image(p, var)) {
@@ -1068,57 +995,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    #[inline]
-    fn refresh_wake(&mut self, p: usize) {
-        let wake = self.proc_wake(p, self.cycle + 1);
-        self.sched.schedule(p, wake);
-    }
-
-    /// Re-arms the wake deadline of every processor whose lanes were
-    /// written this cycle (and only those): a clean bit means the
-    /// processor's wake is an absolute deadline (retire cycle, NACK due
-    /// cycle, stall end) that the cycle did not move, so its calendar
-    /// entry is still live and exact.
-    fn drain_dirty_wakes(&mut self) {
-        for w in 0..self.procs.wake_dirty.len() {
-            let mut word = std::mem::take(&mut self.procs.wake_dirty[w]);
-            while word != 0 {
-                let p = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.refresh_wake(p);
-            }
-        }
-    }
-
-    /// Clears every wake-dirty bit — called by the refresh-all paths,
-    /// which recompute every processor's wake unconditionally.
-    fn clear_wake_dirty(&mut self) {
-        self.procs.wake_dirty.fill(0);
-    }
-
-    /// Re-arms every processor's wake deadline at the end of a stepped
-    /// cycle — the companion to the dirty-bit refresh for mid-loop
-    /// dirtying events (a program completing, an oracle broadcast) that
-    /// mutate state for processors that already stepped this cycle.
-    fn refresh_all_wakes(&mut self) {
-        if !matches!(self.mode, StepMode::FastForward) {
-            return;
-        }
-        self.clear_wake_dirty();
-        for p in 0..self.procs.len() {
-            self.refresh_wake(p);
-        }
-    }
-
     /// Re-arms every wake from *outside* a step — after a recovery rung
-    /// (watchdog repair / rescue) healed state at a cycle that has not
-    /// been stepped yet, so a satisfied spinner must wake this very
-    /// cycle, not the next.
-    fn refresh_all_wakes_now(&mut self) {
-        if !matches!(self.mode, StepMode::FastForward) {
-            return;
-        }
-        self.clear_wake_dirty();
+    /// (watchdog repair / rescue) rewrote processor state and images
+    /// wholesale at a cycle that has not been stepped yet, so whoever it
+    /// made runnable must be visited this very cycle, not the next.
+    /// Cold and O(P), like the rungs themselves.
+    fn rearm_all_wakes(&mut self) {
+        self.procs.wake.clear();
         for p in 0..self.procs.len() {
             let wake = self.proc_wake(p, self.cycle);
             self.sched.schedule(p, wake);
@@ -1169,7 +1052,12 @@ impl<'a> Machine<'a> {
                     }
                 }
                 ProcState::Ready => return None,
-                ProcState::Computing { remaining } => next = next.min(c + u64::from(remaining)),
+                ProcState::Computing { until } => {
+                    if until <= c {
+                        return None; // the compute retired: issues this cycle
+                    }
+                    next = next.min(until);
+                }
                 ProcState::BlockedData | ProcState::BlockedSync => {}
                 ProcState::SpinLocal { var, pred } => {
                     if pred.eval(self.sync.image(p, var)) {
@@ -1194,101 +1082,53 @@ impl<'a> Machine<'a> {
         Some(next)
     }
 
-    /// One fast-forward advance: step normally through event cycles, and
-    /// jump a whole quiet span at once, bulk-charging the skipped cycles
-    /// to exactly the stat buckets the reference stepper would have
-    /// ticked one by one. The next event is the minimum of the channel
-    /// horizon and the calendar's earliest processor wake — no O(P)
-    /// scan.
+    /// One fast-forward advance: step a cycle in which something acts,
+    /// or jump a whole quiet span at once. A jump only moves the clock
+    /// (accounting is lazy, so nobody has to be charged for the span).
+    /// The next event is the minimum of the channel horizon and the
+    /// calendar's earliest processor wake — no O(P) scan.
     fn fast_step(&mut self) {
         let cal_next = self.sched.earliest(self.cycle);
-        let channels = self.channel_horizon();
+        let quiet_until = match self.channel_horizon() {
+            Some(h) if cal_next > self.cycle => Some(cal_next.min(h)),
+            // A processor wake is due now, or a channel acts.
+            _ => None,
+        };
         #[cfg(debug_assertions)]
-        {
-            let fast = match channels {
-                _ if cal_next <= self.cycle => None,
-                None => None,
-                Some(h) => Some(cal_next.min(h)),
-            };
-            match (fast, self.scan_horizon()) {
-                (Some(_), None) => {
-                    unreachable!("fast-forward would skip an event at cycle {}", self.cycle)
-                }
-                (Some(t), Some(h)) => {
-                    debug_assert!(t <= h, "fast-forward overshoots the horizon: {t} > {h}");
-                }
-                (None, _) => {}
+        match (quiet_until, self.scan_horizon()) {
+            (Some(_), None) => {
+                unreachable!("fast-forward would skip an event at cycle {}", self.cycle)
             }
+            (Some(t), Some(h)) => {
+                debug_assert!(t <= h, "fast-forward overshoots the horizon: {t} > {h}");
+            }
+            (None, _) => {}
         }
-        let next_event = match channels {
-            _ if cal_next <= self.cycle => {
-                // A processor wake is due now: step the cycle for real.
-                self.step();
-                return;
-            }
-            None => {
-                self.step();
-                return;
-            }
-            Some(h) => cal_next.min(h),
+        let Some(next_event) = quiet_until else {
+            self.step();
+            return;
         };
         // Land exactly on `max_cycles` so the timeout check fires with
         // the same cycle as per-cycle stepping.
         let mut target = next_event.min(self.config.max_cycles);
-        // A computing processor notes progress every cycle; only when
-        // none is running can the watchdog's silence bound bind. A dead
-        // processor's frozen Computing state is not progress. Without
-        // stall injection the cached counter answers in O(1); with it,
-        // stalled computing processors must be excluded the slow way.
-        let stalls_on = self.config.faults.stall_mean_interval > 0;
-        let progressing = if stalls_on {
-            (0..self.procs.len()).any(|p| {
-                !self.procs.is_dead(p)
-                    && self.cycle >= self.procs.stall_until[p]
-                    && matches!(self.procs.state(p), ProcState::Computing { .. })
-            })
-        } else {
-            self.procs.computing > 0
-        };
+        // A computing processor makes progress every cycle; only when
+        // none is running (dead and stall-frozen ones do not count) can
+        // the watchdog's silence bound bind.
+        let progressing = self.procs.computing > 0;
         if !progressing {
             target = target.min(self.last_progress.saturating_add(self.watchdog_limit + 1));
         }
         debug_assert!(target > self.cycle, "quiet horizon must move time forward");
-        let delta = target - self.cycle;
-        for p in 0..self.procs.len() {
-            if self.procs.is_dead(p) {
-                self.procs.stats[p].dead += delta;
-                continue;
-            }
-            if self.cycle < self.procs.stall_until[p] {
-                self.procs.stats[p].stalled += delta;
-                continue;
-            }
-            match self.procs.state(p) {
-                ProcState::Idle => self.procs.stats[p].idle += delta,
-                ProcState::Computing { remaining } => {
-                    self.procs.stats[p].busy += delta;
-                    // delta <= remaining by the horizon bound.
-                    self.procs.tick_computing(p, remaining - delta as u32);
-                }
-                ProcState::BlockedData | ProcState::BlockedSync => {
-                    self.procs.stats[p].blocked += delta;
-                }
-                ProcState::SpinLocal { .. } | ProcState::SpinMem { .. } => {
-                    self.procs.stats[p].spin += delta;
-                }
-                ProcState::Ready => unreachable!("a ready processor is never quiet"),
-            }
-        }
         if progressing {
             self.last_progress = target - 1;
         }
+        self.kernel.quiet_jumps += 1;
         self.cycle = target;
     }
 
     pub(crate) fn unblock(&mut self, proc: usize) {
         self.close_wait(proc);
-        self.procs.set_state(proc, ProcState::Ready);
+        self.procs.set_state(proc, ProcState::Ready, self.cycle);
         if self.procs.is_dead(proc) {
             // An in-flight transaction still performs after its issuer
             // fail-stops (it was already in the interconnect), but the

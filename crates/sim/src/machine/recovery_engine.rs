@@ -249,13 +249,15 @@ impl<'a> Machine<'a> {
     /// posts count transactions; a completed program's successor claim
     /// counts a dispatch). Sampled at each rescue so the runaway bound
     /// only counts rescues that achieved nothing.
-    fn rescue_progress_marker(&self) -> u64 {
+    fn rescue_progress_marker(&mut self) -> u64 {
+        // Busy cycles accrue lazily: settle them before reading.
+        self.procs.flush_all(self.cycle);
         self.stats.dispatched
             + self.stats.data_transactions
             + self.stats.rmw_ops
             + self.stats.sync_broadcasts
             + self.stats.coalesced_writes
-            + self.procs.stats.iter().map(|s| s.busy).sum::<u64>()
+            + self.procs.total_busy()
     }
 
     /// Rung 4: the rescue (reconfigure) action for fail-stopped
@@ -312,7 +314,7 @@ impl<'a> Machine<'a> {
                 };
                 self.procs.ip[d] = 0;
                 self.procs.resume_ip[d] = 0;
-                self.procs.set_state(d, ProcState::Idle);
+                self.procs.set_state(d, ProcState::Idle, self.cycle);
                 self.disp.rescue.push_back((prog, resume));
                 self.events.record(
                     self.cycle,
@@ -378,7 +380,7 @@ impl<'a> Machine<'a> {
                 self.procs.set_current(v, Some(prog));
                 self.procs.ip[v] = resume;
                 self.procs.resume_ip[v] = resume;
-                self.procs.set_state(v, ProcState::Ready);
+                self.procs.set_state(v, ProcState::Ready, self.cycle);
                 // The preempted wait episode is abandoned, not
                 // satisfied: clear it without recording a WaitEnd.
                 self.rec.wait_since[v] = None;

@@ -25,6 +25,13 @@
 //! [`Calendar::overflow_min`]. A jump past the whole ring (a long quiet
 //! stretch) triggers a cold [`Calendar::rebase`] that rebuilds from the
 //! authoritative deadlines.
+//!
+//! The calendar answers two questions per advance: *when* is the next
+//! wake ([`Calendar::earliest`], the jump target) and *who* is due at a
+//! stepped cycle ([`Calendar::drain_due`], the visit set). The second
+//! answer lands in a [`WakeSet`], the bitset that also
+//! collects processors whose lanes were written this cycle, so the
+//! stepper visits due ∪ touched in ascending id without walking all P.
 
 /// Log2 of the bucket width in cycles.
 const BUCKET_SHIFT: u32 = 6;
@@ -131,13 +138,11 @@ impl Calendar {
         self.mark(slot);
     }
 
-    /// The minimum finite authoritative deadline, or `u64::MAX` when
-    /// every source is parked. `now` must be non-decreasing across
-    /// calls; buckets strictly behind it are recycled.
-    pub(crate) fn earliest(&mut self, now: u64) -> u64 {
-        if !self.use_ring {
-            return self.deadline.iter().copied().min().unwrap_or(u64::MAX);
-        }
+    /// Brings the ring up to `now`: recycles buckets strictly behind it
+    /// (or rebases after a jump past the whole ring) and re-homes
+    /// overflow entries the horizon has reached. Returns whether the
+    /// overflow list was swept.
+    fn settle(&mut self, now: u64) -> bool {
         let now_abs = now >> BUCKET_SHIFT;
         if now_abs >= self.base + BUCKETS as u64 {
             self.rebase(now_abs);
@@ -147,8 +152,8 @@ impl Calendar {
                 let word = self.occupied[slot / 64] >> (slot % 64);
                 if word == 0 {
                     // Rest of this bitmap word is empty; like the scan
-                    // below, the skip stops at the word boundary so it
-                    // never crosses the ring seam mid-word.
+                    // in `earliest`, the skip stops at the word boundary
+                    // so it never crosses the ring seam mid-word.
                     self.base = (self.base + (64 - slot % 64) as u64).min(now_abs);
                     continue;
                 }
@@ -161,12 +166,49 @@ impl Calendar {
                 self.base += 1;
             }
         }
-        let mut swept = if self.overflow_min >> BUCKET_SHIFT < self.base + BUCKETS as u64 {
+        if self.overflow_min >> BUCKET_SHIFT < self.base + BUCKETS as u64 {
             self.sweep_overflow();
             true
         } else {
             false
-        };
+        }
+    }
+
+    /// Calls `due` with every source whose authoritative deadline is at
+    /// or before `now` — the processors a stepped cycle must visit. A
+    /// source may be reported more than once (stale ring entries that
+    /// happen to share the bucket); callers collect into a set. Entries
+    /// stay in place: the visit re-arms each due source, which kills
+    /// them by lazy invalidation like any reschedule.
+    ///
+    /// Same contract as [`Calendar::earliest`]: `now` is non-decreasing
+    /// and time never passes a live deadline, so every due deadline sits
+    /// in the bucket `now` falls in.
+    pub(crate) fn drain_due(&mut self, now: u64, mut due: impl FnMut(usize)) {
+        if !self.use_ring {
+            for (src, &d) in self.deadline.iter().enumerate() {
+                if d <= now {
+                    due(src);
+                }
+            }
+            return;
+        }
+        self.settle(now);
+        for &src in &self.buckets[Self::slot(self.base)] {
+            if self.deadline[src as usize] <= now {
+                due(src as usize);
+            }
+        }
+    }
+
+    /// The minimum finite authoritative deadline, or `u64::MAX` when
+    /// every source is parked. `now` must be non-decreasing across
+    /// calls; buckets strictly behind it are recycled.
+    pub(crate) fn earliest(&mut self, now: u64) -> u64 {
+        if !self.use_ring {
+            return self.deadline.iter().copied().min().unwrap_or(u64::MAX);
+        }
+        let mut swept = self.settle(now);
         loop {
             let end = self.base + BUCKETS as u64;
             let mut abs = self.base;
@@ -269,6 +311,143 @@ impl Calendar {
     }
 }
 
+/// A set of processor ids as a flat bitset. It holds the processors a
+/// stepped cycle still has to deal with — to visit (due or touched
+/// before their slot) or merely to re-arm (touched after it).
+#[derive(Debug)]
+pub(crate) struct WakeSet {
+    words: Vec<u64>,
+}
+
+impl WakeSet {
+    /// An empty set over ids `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self { words: vec![0; n.div_ceil(64).max(1)] }
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, id: usize) {
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, id: usize) -> bool {
+        self.words[id / 64] & (1 << (id % 64)) != 0
+    }
+
+    /// Removes and returns the smallest member `>= from`, scanning
+    /// forward from `from`'s word (a walk with an ascending cursor
+    /// crosses each word once).
+    pub(crate) fn take_next(&mut self, from: usize) -> Option<usize> {
+        let first = from / 64;
+        // Members of the first word below `from` are not candidates.
+        let mut mask = u64::MAX << (from % 64);
+        for (w, word) in self.words.iter_mut().enumerate().skip(first) {
+            let candidates = *word & mask;
+            if candidates != 0 {
+                let bit = candidates.trailing_zeros() as usize;
+                *word &= !(1 << bit);
+                return Some(w * 64 + bit);
+            }
+            mask = u64::MAX;
+        }
+        None
+    }
+
+    /// Number of 64-id words, for [`WakeSet::take_word`].
+    pub(crate) fn words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Removes and returns the members `64 * w ..` of word `w` as a bit
+    /// mask — the end-of-cycle drain, one word at a time.
+    pub(crate) fn take_word(&mut self, w: usize) -> u64 {
+        std::mem::take(&mut self.words[w])
+    }
+
+    /// Empties the set.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
+
+/// Per-variable index of the processors spinning on their local image
+/// of a synchronization variable, so an image delivery wakes exactly
+/// the spinners it can satisfy instead of every processor.
+///
+/// Invariants (maintained by `ProcLanes`, the only writer):
+///
+/// * `lists[var]` holds every live processor whose state is
+///   `SpinLocal { var, .. }`, each once, and nothing else;
+/// * `min_bound[var]` is a **lower bound** on the smallest value any
+///   listed waiter's predicate can accept (`u64::MAX` when the list is
+///   empty). Removals leave it stale-low — that only costs a walk, which
+///   recomputes it exactly — so a delivered value below it provably
+///   satisfies nobody and is rejected in O(1).
+#[derive(Debug)]
+pub(crate) struct WaiterIndex {
+    lists: Vec<Vec<u32>>,
+    min_bound: Vec<u64>,
+    /// Position of each processor in its variable's list
+    /// (`u32::MAX` = not listed).
+    pos: Vec<u32>,
+}
+
+impl WaiterIndex {
+    const ABSENT: u32 = u32::MAX;
+
+    /// An empty index for `procs` processors; variables are added on
+    /// first use.
+    pub(crate) fn new(procs: usize) -> Self {
+        Self { lists: Vec::new(), min_bound: Vec::new(), pos: vec![Self::ABSENT; procs] }
+    }
+
+    /// Lists `p` as waiting on `var` for a value of at least `bound`.
+    pub(crate) fn insert(&mut self, p: usize, var: usize, bound: u64) {
+        debug_assert_eq!(self.pos[p], Self::ABSENT, "a processor waits on one variable");
+        if var >= self.lists.len() {
+            self.lists.resize_with(var + 1, Vec::new);
+            self.min_bound.resize(var + 1, u64::MAX);
+        }
+        self.pos[p] = self.lists[var].len() as u32;
+        self.lists[var].push(p as u32);
+        self.min_bound[var] = self.min_bound[var].min(bound);
+    }
+
+    /// Unlists `p` from `var` (a no-op if it is not listed).
+    pub(crate) fn remove(&mut self, p: usize, var: usize) {
+        let at = std::mem::replace(&mut self.pos[p], Self::ABSENT);
+        if at == Self::ABSENT {
+            return;
+        }
+        let list = &mut self.lists[var];
+        list.swap_remove(at as usize);
+        if let Some(&moved) = list.get(at as usize) {
+            self.pos[moved as usize] = at;
+        } else if list.is_empty() {
+            self.min_bound[var] = u64::MAX;
+        }
+    }
+
+    /// The cached lower bound for `var` (`u64::MAX` = no waiters).
+    #[inline]
+    pub(crate) fn min_bound(&self, var: usize) -> u64 {
+        self.min_bound.get(var).copied().unwrap_or(u64::MAX)
+    }
+
+    /// Replaces the cached bound after a walk computed it exactly.
+    pub(crate) fn set_min_bound(&mut self, var: usize, bound: u64) {
+        if let Some(b) = self.min_bound.get_mut(var) {
+            *b = bound;
+        }
+    }
+
+    /// The processors waiting on `var`.
+    pub(crate) fn of(&self, var: usize) -> &[u32] {
+        self.lists.get(var).map_or(&[], Vec::as_slice)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +504,104 @@ mod tests {
         assert_eq!(cal.earliest(3 * span), 3 * span + 17);
         cal.schedule(0, u64::MAX);
         assert_eq!(cal.earliest(3 * span + 20), 5 * span + 1);
+    }
+
+    /// `drain_due` reports exactly the sources whose deadline has come,
+    /// on the ring and on the small-machine scan path alike, and leaves
+    /// them due until they are re-armed.
+    #[test]
+    fn drain_due_yields_exactly_the_due_sources() {
+        for use_ring in [true, false] {
+            let mut cal = Calendar::with_ring(5, use_ring);
+            let due_at = |cal: &mut Calendar, now| {
+                let mut due = Vec::new();
+                cal.drain_due(now, |src| due.push(src));
+                due.sort_unstable();
+                due.dedup();
+                due
+            };
+            assert_eq!(due_at(&mut cal, 0), vec![0, 1, 2, 3, 4], "all start due at 0");
+            for (src, t) in [(0, 3), (1, 70), (2, 3), (3, u64::MAX), (4, 1 << 20)] {
+                cal.schedule(src, t);
+            }
+            assert_eq!(due_at(&mut cal, 2), Vec::<usize>::new());
+            assert_eq!(cal.earliest(2), 3);
+            assert_eq!(due_at(&mut cal, 3), vec![0, 2]);
+            assert_eq!(due_at(&mut cal, 3), vec![0, 2], "still due until re-armed");
+            cal.schedule(0, 70);
+            cal.schedule(2, u64::MAX);
+            // Same bucket as the stale entries for 3, different deadline.
+            assert_eq!(due_at(&mut cal, 4), Vec::<usize>::new());
+            assert_eq!(due_at(&mut cal, 70), vec![0, 1]);
+            cal.schedule(0, u64::MAX);
+            cal.schedule(1, u64::MAX);
+            // The far deadline migrates in from the overflow list.
+            assert_eq!(due_at(&mut cal, (1 << 20) - 1), Vec::<usize>::new());
+            assert_eq!(due_at(&mut cal, 1 << 20), vec![4]);
+        }
+    }
+
+    #[test]
+    fn wake_set_takes_members_in_ascending_order_from_a_cursor() {
+        let mut set = WakeSet::new(10_000);
+        assert_eq!(set.take_next(0), None);
+        for id in [9_999, 64, 4_096, 3, 63, 4_095, 8_192] {
+            set.insert(id);
+            set.insert(id); // idempotent
+        }
+        assert!(set.contains(4_096) && !set.contains(4_097));
+        // A cursor skips members behind it and leaves them in the set.
+        assert_eq!(set.take_next(64), Some(64));
+        assert_eq!(set.take_next(65), Some(4_095));
+        // Inserting ahead of the cursor mid-walk is picked up in order...
+        set.insert(4_100);
+        set.insert(10);
+        assert_eq!(set.take_next(4_096), Some(4_096));
+        assert_eq!(set.take_next(4_097), Some(4_100));
+        assert_eq!(set.take_next(4_101), Some(8_192));
+        assert_eq!(set.take_next(8_193), Some(9_999));
+        assert_eq!(set.take_next(10_000), None);
+        // ...and what was behind it drains afterwards, still ascending.
+        let rest: Vec<usize> = std::iter::from_fn(|| set.take_next(0)).collect();
+        assert_eq!(rest, vec![3, 10, 63]);
+        // The end-of-cycle drain takes whole words.
+        for id in [77, 100, 9_000] {
+            set.insert(id);
+        }
+        assert_eq!(set.take_word(1), (1 << 13) | (1 << 36));
+        assert_eq!(set.take_next(0), Some(9_000));
+        set.insert(77);
+        set.clear();
+        assert!((0..set.words()).all(|w| set.take_word(w) == 0));
+    }
+
+    #[test]
+    fn waiter_index_tracks_membership_and_a_lower_bound() {
+        let mut idx = WaiterIndex::new(6);
+        assert_eq!(idx.min_bound(3), u64::MAX, "unknown variables have no waiters");
+        assert!(idx.of(3).is_empty());
+        idx.insert(0, 3, 50);
+        idx.insert(1, 3, 20);
+        idx.insert(2, 3, 90);
+        idx.insert(5, 0, 7);
+        assert_eq!(idx.min_bound(3), 20);
+        assert_eq!(idx.min_bound(0), 7);
+        // Removing the minimum holder leaves the bound stale-low (still
+        // a lower bound); a walk tightens it.
+        idx.remove(1, 3);
+        idx.remove(1, 3); // absent: no-op
+        assert_eq!(idx.min_bound(3), 20);
+        let mut waiters = idx.of(3).to_vec();
+        waiters.sort_unstable();
+        assert_eq!(waiters, vec![0, 2]);
+        idx.set_min_bound(3, 50);
+        // The swap-remove kept positions straight.
+        idx.remove(0, 3);
+        assert_eq!(idx.of(3), &[2]);
+        idx.remove(2, 3);
+        assert_eq!(idx.min_bound(3), u64::MAX, "an emptied list resets the bound");
+        idx.insert(2, 3, 4);
+        assert_eq!((idx.of(3), idx.min_bound(3)), (&[2u32][..], 4));
     }
 
     /// Property test: across seeded random schedules — including

@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::config::{FabricKind, SyncTransport};
-use crate::program::{pack_pc, Instr, Label, Program};
+use crate::program::{pack_pc, Instr, Label, Pred, Program};
 
 fn cfg(p: usize) -> MachineConfig {
     MachineConfig::with_processors(p)
@@ -1169,4 +1169,91 @@ fn default_fabric_is_the_dedicated_bus() {
     assert_eq!(default.stats, explicit.stats);
     assert_eq!(default.metrics, explicit.metrics);
     assert_eq!(default.trace, explicit.trace);
+}
+
+// ---- the wake-driven kernel: lazy accounting, targeted wakes ----
+
+#[test]
+fn lazy_accounting_charges_exactly_what_per_cycle_ticking_did() {
+    // Hand-checked timeline (dispatch latency 2, sync bus latency 1):
+    // P0 dispatches 0..2, computes 2..22, posts and goes idle at 22;
+    // the broadcast is granted at 23 and lands at 24. P1 dispatches
+    // 0..2, spins 2..25 (the successful check at 24 still costs that
+    // cycle), computes cycle 25, is idle at 26; the run ends at 27.
+    let producer =
+        Program::from_instrs(vec![Instr::Compute(20), Instr::SyncSet { var: 0, val: 1 }]);
+    let consumer = Program::from_instrs(vec![
+        Instr::SyncWait { var: 0, pred: Pred::Geq(1) },
+        Instr::Compute(1),
+    ]);
+    let w = Workload::static_assigned(vec![producer, consumer], vec![vec![0], vec![1]]);
+    for out in [run(&cfg(2), &w).unwrap(), run_reference(&cfg(2), &w).unwrap()] {
+        assert_eq!(out.stats.makespan, 27);
+        let p = &out.stats.procs;
+        assert_eq!(p[0], ProcBreakdown { busy: 22, idle: 5, ..Default::default() });
+        assert_eq!(p[1], ProcBreakdown { busy: 3, spin: 23, idle: 1, ..Default::default() });
+    }
+    // Fast-forward visited a processor only when it acted: P0 at 0, 2
+    // and 22; P1 at 0, 2, 24, 25 and 26 — never while it spun.
+    let k = run(&cfg(2), &w).unwrap().kernel;
+    assert_eq!((k.procs_visited, k.stepped_cycles, k.waiter_walks), (8, 7, 1));
+}
+
+#[test]
+fn a_spinning_processor_costs_no_visits() {
+    // 64 consumers spin on their local images for 100k cycles: the
+    // paper's point is that they put nothing on any bus, the kernel's
+    // that they cost the host nothing either.
+    let mut programs = vec![Program::from_instrs(vec![
+        Instr::Compute(100_000),
+        Instr::SyncSet { var: 0, val: 1 },
+    ])];
+    programs.extend(
+        (0..64).map(|_| Program::from_instrs(vec![Instr::SyncWait { var: 0, pred: Pred::Geq(1) }])),
+    );
+    let w = Workload::static_assigned(programs, (0..65).map(|i| vec![i]).collect());
+    let out = run(&cfg(65), &w).unwrap();
+    assert!(out.stats.total_spin() > 64 * 99_000);
+    assert!(out.kernel.procs_visited < 5 * 65, "visited {}", out.kernel.procs_visited);
+    assert!(out.kernel.stepped_cycles < 16, "stepped {}", out.kernel.stepped_cycles);
+    assert_equivalent(&cfg(65), &w);
+}
+
+#[test]
+fn a_delivery_below_every_waiters_bound_walks_nobody() {
+    // A barrier count climbing towards P: each RMW delivery is rejected
+    // by the waiter index in O(1); only the one that reaches the bound
+    // walks the waiters.
+    let p = 16usize;
+    let programs: Vec<Program> = (0..p)
+        .map(|i| {
+            Program::from_instrs(vec![
+                Instr::Compute(10 * (i as u32 + 1)),
+                Instr::SyncRmw { var: 0 },
+                Instr::SyncWait { var: 0, pred: Pred::Geq(p as u64) },
+            ])
+        })
+        .collect();
+    let w = Workload::static_assigned(programs, (0..p).map(|i| vec![i]).collect());
+    let out = run(&cfg(p), &w).unwrap();
+    assert_eq!(out.sync_final[0], p as u64);
+    assert_eq!(out.kernel.waiter_walks, 1, "only the last arrival can satisfy anyone");
+    assert_equivalent(&cfg(p), &w);
+}
+
+#[test]
+fn a_stall_mid_compute_pushes_the_retire_cycle_out() {
+    // Stalls freeze a compute where it stands: busy cycles are exactly
+    // the work issued, however the freezes chop it up, and the time
+    // lost shows up as `stalled`, not as extra `busy`.
+    let w = Workload::dynamic(vec![Program::from_instrs(vec![Instr::Compute(5_000)])]);
+    let c = cfg(1).with_faults(FaultPlan::only(FaultClass::ProcStall, 3, 80));
+    for out in [run(&c, &w).unwrap(), run_reference(&c, &w).unwrap()] {
+        let p = out.stats.procs[0];
+        assert!(out.stats.faults.stalls > 10, "stalls must fire: {:?}", out.stats.faults);
+        assert_eq!(p.busy, 5_000 + 2, "compute + dispatch latency, exactly");
+        assert!(p.stalled > 0 && p.stalled <= out.stats.faults.stall_cycles);
+        assert_eq!(p.total(), out.stats.makespan);
+    }
+    assert_equivalent(&c, &w);
 }

@@ -34,6 +34,13 @@ impl Pred {
             Pred::Eq(n) => value == n,
         }
     }
+
+    /// The smallest value that can satisfy the predicate.
+    pub fn bound(self) -> u64 {
+        match self {
+            Pred::Geq(n) | Pred::Eq(n) => n,
+        }
+    }
 }
 
 impl fmt::Display for Pred {

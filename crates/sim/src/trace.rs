@@ -62,6 +62,27 @@ pub struct OrderViolation {
     pub dst_start: u64,
 }
 
+/// First recorded start and end cycle of every statement instance of
+/// a trace (see [`Trace::instance_index`]): the same answers as
+/// [`Trace::start_of`] / [`Trace::end_of`], in O(1) per lookup.
+#[derive(Debug, Clone, Default)]
+pub struct InstanceIndex {
+    starts: HashMap<(u32, u64), u64>,
+    ends: HashMap<(u32, u64), u64>,
+}
+
+impl InstanceIndex {
+    /// First recorded start cycle of instance `(stmt, pid)`.
+    pub fn start_of(&self, stmt: u32, pid: u64) -> Option<u64> {
+        self.starts.get(&(stmt, pid)).copied()
+    }
+
+    /// First recorded end cycle of instance `(stmt, pid)`.
+    pub fn end_of(&self, stmt: u32, pid: u64) -> Option<u64> {
+        self.ends.get(&(stmt, pid)).copied()
+    }
+}
+
 impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
@@ -94,7 +115,20 @@ impl Trace {
         &self.fault_events
     }
 
-    /// Start cycle of statement instance `(stmt, pid)`, if recorded.
+    /// Indexes the first recorded start and end of every statement
+    /// instance in one pass, for callers that look up many instances
+    /// ([`Trace::start_of`] / [`Trace::end_of`] scan the trace per call).
+    pub fn instance_index(&self) -> InstanceIndex {
+        let mut index = InstanceIndex::default();
+        for e in &self.events {
+            let side = if e.label.start { &mut index.starts } else { &mut index.ends };
+            side.entry((e.label.stmt, e.label.pid)).or_insert(e.cycle);
+        }
+        index
+    }
+
+    /// Start cycle of statement instance `(stmt, pid)`, if recorded
+    /// (the first one, should a rescue have reissued the instance).
     pub fn start_of(&self, stmt: u32, pid: u64) -> Option<u64> {
         self.events
             .iter()
@@ -102,7 +136,9 @@ impl Trace {
             .map(|e| e.cycle)
     }
 
-    /// End cycle of statement instance `(stmt, pid)`, if recorded.
+    /// End cycle of statement instance `(stmt, pid)`, if recorded (the
+    /// first one; [`Trace::validate_order`] deliberately keeps the
+    /// *last* end instead).
     pub fn end_of(&self, stmt: u32, pid: u64) -> Option<u64> {
         self.events
             .iter()
