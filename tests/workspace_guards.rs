@@ -1,13 +1,16 @@
 //! Tier-1 guards for contracts whose full suites live in the member
 //! crates (`cargo test -q` at the root runs only this package): the
-//! simulator kernel's two step modes must stay bit-identical, and its
-//! lazy cycle accounting must conserve every cycle.
+//! simulator kernel's two step modes must stay bit-identical, its
+//! lazy cycle accounting must conserve every cycle, and fault-free
+//! sync traffic must satisfy both conservation identities.
 //!
 //! One cell per sync fabric at P = 128 — above the wake calendar's
 //! scan threshold, so the bucket-ring `drain_due` path runs — under
-//! dynamic and static dispatch, fault-free and with processor stalls,
+//! dynamic and static dispatch: fault-free, with processor stalls,
 //! lost image updates and fail-stopped processors healed by the full
-//! recovery ladder.
+//! recovery ladder, and (on the fabrics that have a bus to fault) with
+//! reordered, dropped and delayed broadcasts, which is what drives the
+//! fault branches of bus grant and completion.
 
 use datasync_repro::loopir::analysis::analyze;
 use datasync_repro::loopir::space::IterSpace;
@@ -38,13 +41,22 @@ fn run(cell: &CompiledLoop, config: &MachineConfig, mode: StepMode) -> RunOutcom
 
 #[test]
 fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
-    let faults = FaultPlan {
+    let ladder = FaultPlan {
         seed: 7,
         stall_mean_interval: 300,
         stall_max: 40,
         broadcast_loss_pct: 10,
         fail_stop_procs: 2,
         fail_stop_window: 600,
+        ..FaultPlan::none()
+    };
+    let queue = FaultPlan {
+        seed: 11,
+        broadcast_reorder_pct: 20,
+        broadcast_drop_pct: 15,
+        max_redeliveries: 3,
+        broadcast_delay_pct: 20,
+        broadcast_delay_max: 6,
         ..FaultPlan::none()
     };
     // The compiled (dynamic) loop and its static-cyclic twin.
@@ -62,11 +74,21 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
     ];
     for fabric in fabrics {
         for (dispatch, cell) in &cells {
-            for faulted in [false, true] {
-                let what = format!("{fabric} {dispatch} faulted={faulted}");
+            for (plan_name, plan) in
+                [("clean", None), ("ladder", Some(ladder)), ("queue", Some(queue))]
+            {
+                if plan_name == "queue" && fabric == FabricKind::Ideal {
+                    continue; // no bus, so nothing to reorder, drop or delay
+                }
+                let what = format!("{fabric} {dispatch} {plan_name}");
                 let mut config = MachineConfig::with_processors(PROCS).fabric(fabric);
-                if faulted {
-                    config = config.with_faults(faults).with_recovery(RecoveryPolicy::Full);
+                if let Some(plan) = plan {
+                    config = config.with_faults(plan).with_recovery(RecoveryPolicy::Full);
+                }
+                if plan_name == "queue" {
+                    // A slow bus, so broadcasts queue up behind each
+                    // other and the arbiter has something to reorder.
+                    config.sync_bus_latency = 32;
                 }
                 let fast = run(cell, &config, StepMode::FastForward);
                 let slow = run(cell, &config, StepMode::Reference);
@@ -75,13 +97,43 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
                 assert_eq!(fast.sync_final, slow.sync_final, "{what}: sync state diverged");
                 assert_eq!(fast.metrics, slow.metrics, "{what}: metrics diverged");
                 assert_eq!(fast.events, slow.events, "{what}: event streams diverged");
-                for (p, b) in fast.stats.procs.iter().enumerate() {
-                    assert_eq!(b.total(), fast.stats.makespan, "{what}: processor {p} {b:?}");
+                let s = &fast.stats;
+                for (p, b) in s.procs.iter().enumerate() {
+                    assert_eq!(b.total(), s.makespan, "{what}: processor {p} {b:?}");
                 }
-                if faulted {
-                    let f = &fast.stats.faults;
-                    assert!(f.stalls > 0 && f.fail_stops > 0, "{what}: faults must fire: {f:?}");
-                    assert!(fast.stats.procs.iter().any(|b| b.dead > 0), "{what}");
+                let f = &s.faults;
+                match plan_name {
+                    "clean" => {
+                        assert_eq!(
+                            s.sync_ops_issued,
+                            s.sync_broadcasts + s.coalesced_writes,
+                            "{what}: every issued sync op is broadcast or coalesced"
+                        );
+                        let bridged = s.bridge_broadcasts + s.bridge_coalesced;
+                        if fabric.is_clustered() {
+                            assert!(s.bridge_broadcasts > 0, "{what}: the bridge must forward");
+                            assert_eq!(
+                                s.sync_broadcasts, bridged,
+                                "{what}: every cluster broadcast is forwarded or folded"
+                            );
+                        } else {
+                            assert_eq!(bridged, 0, "{what}: a flat fabric has no bridge");
+                            assert_eq!(fast.metrics.bridge_busy, 0, "{what}");
+                        }
+                    }
+                    "ladder" => {
+                        assert!(
+                            f.stalls > 0 && f.fail_stops > 0,
+                            "{what}: faults must fire: {f:?}"
+                        );
+                        assert!(s.procs.iter().any(|b| b.dead > 0), "{what}");
+                    }
+                    _ => assert!(
+                        f.reordered_broadcasts > 0
+                            && f.dropped_broadcasts > 0
+                            && f.delayed_broadcasts > 0,
+                        "{what}: queue faults must fire: {f:?}"
+                    ),
                 }
                 assert!(
                     fast.kernel.procs_visited < slow.kernel.procs_visited / 8,
