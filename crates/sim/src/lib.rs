@@ -65,8 +65,8 @@ pub use config::{
 pub use events::{EventRing, SimEvent, SimEventKind};
 pub use faults::{FaultClass, FaultCounts, FaultPlan};
 pub use machine::{
-    run, run_reference, DedicatedBus, DispatchMode, IdealFabric, KernelCounters, Machine,
-    RunOutcome, SharedDataBus, SimError, StepMode, SyncFabric, Workload,
+    run, run_reference, DispatchMode, KernelCounters, Machine, RunOutcome, SimError, StepMode,
+    Workload,
 };
 pub use metrics::{CacheTraffic, RunMetrics, VarTraffic, WaitHistogram};
 pub use program::{pack_pc, unpack_pc, Instr, Label, Pred, Program, SyncVar};

@@ -142,8 +142,8 @@ impl<'a> Machine<'a> {
 
     /// Issues the next instruction; any cost shows up as a state change
     /// handled by [`Machine::step_proc`] in the same cycle. Sync
-    /// operations on the dedicated transport go through the configured
-    /// [`super::SyncFabric`] backend.
+    /// operations on the dedicated transport go through the sync
+    /// fabric ([`Machine::post`] / [`Machine::enqueue_rmw`]).
     pub(crate) fn execute_next_instr(&mut self, p: usize) {
         let prog_ix = match self.procs.current(p) {
             Some(ix) => ix,
@@ -170,7 +170,6 @@ impl<'a> Machine<'a> {
         self.procs.resume_ip[p] = ip;
         self.procs.ip[p] += 1;
         self.note_progress();
-        let fabric = self.fabric;
         match instr {
             Instr::Compute(0) => {}
             Instr::Compute(c) => {
@@ -186,7 +185,7 @@ impl<'a> Machine<'a> {
             }
             Instr::SyncSet { var, val } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
-                    fabric.post(self, p, var, val);
+                    self.post(p, var, val);
                 }
                 SyncTransport::SharedMemory => {
                     self.metrics.sync_vars[var].posts += 1;
@@ -201,7 +200,7 @@ impl<'a> Machine<'a> {
             Instr::SyncRmw { var } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
                     self.metrics.sync_vars[var].rmws += 1;
-                    if !fabric.rmw(self, p, var) {
+                    if !self.enqueue_rmw(p, var) {
                         self.procs.set_state(p, ProcState::BlockedSync, self.cycle);
                     }
                 }
@@ -234,7 +233,7 @@ impl<'a> Machine<'a> {
             Instr::SyncSetIfGeq { var, guard, val } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
                     if self.sync.image(p, var) >= guard {
-                        fabric.post(self, p, var, val);
+                        self.post(p, var, val);
                     }
                 }
                 SyncTransport::SharedMemory => {
@@ -250,7 +249,7 @@ impl<'a> Machine<'a> {
                 SyncTransport::DedicatedBus => {
                     if self.sync.image(p, var) >= geq {
                         self.metrics.sync_vars[var].rmws += 1;
-                        if !fabric.rmw(self, p, var) {
+                        if !self.enqueue_rmw(p, var) {
                             self.procs.set_state(p, ProcState::BlockedSync, self.cycle);
                         }
                     } else {

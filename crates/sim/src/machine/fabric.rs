@@ -1,43 +1,56 @@
 //! The synchronization fabric: how sync-variable writes reach the
 //! global state and every processor's local image.
 //!
-//! The paper's §6 argues for a **dedicated** synchronization bus with
-//! per-processor local images. This module makes that interconnect a
-//! swappable backend behind the [`SyncFabric`] trait:
+//! The paper's §6 hardware is one thing: a **broadcast bus** with a
+//! local image of every sync variable in each processor. This module
+//! has one such primitive, [`SyncBus`] — a FIFO of pending broadcasts,
+//! at most one in flight, and the range of processors `lo..hi` whose
+//! images it delivers to — and every fabric is a *topology* of them,
+//! built once from [`FabricKind`] by [`SyncState::new`]:
 //!
-//! * [`DedicatedBus`] — the paper's hardware and the default: a
-//!   separate bus, posted broadcasts, local-image spinning at zero
-//!   traffic. Bit-identical to the pre-fabric simulator.
-//! * [`SharedDataBus`] — no dedicated hardware: broadcasts arbitrate
-//!   against data traffic for the one physical bus (data has priority,
-//!   and a broadcast in flight blocks data grants). Quantifies what §6's
-//!   dedicated bus actually buys.
-//! * [`IdealFabric`] — a zero-latency oracle: posts and RMWs perform
-//!   globally and in every image the instant they issue, at zero
-//!   occupancy and immune to sync-path faults. The upper bound any
+//! * **Dedicated** (the paper's hardware and the default) — one bus
+//!   over `0..P`: posted broadcasts, local-image spinning at zero
+//!   traffic.
+//! * **Shared** — the same one bus, flagged
+//!   [`SyncBus::shares_data_bus`]: there is only one physical bus, so a
+//!   grant waits for the data bus to be free (data has priority), an
+//!   in-flight broadcast blocks data grants, and its tenure is charged
+//!   to both occupancy counters. Quantifies what §6's dedicated bus
+//!   actually buys.
+//! * **Ideal** — zero buses: posts and RMWs perform globally and in
+//!   every image the instant they issue, at zero occupancy, with no RNG
+//!   draws and immune to sync-path faults. The upper bound any
 //!   interconnect could approach.
-//! * [`ClusteredFabric`] — a two-level hierarchy for large P: per-cluster
-//!   dedicated buses with independent arbitration deliver to their own
-//!   cluster's images, then submit the variable to a bridge that batches
-//!   same-variable updates within a coalescing window before forwarding
-//!   one broadcast to every cluster. Because sync variables are monotone
-//!   counters and the bridge re-reads the global value at delivery,
-//!   folding partial barrier/SC/PC counts into one forward is lossless —
-//!   the aggregation that keeps the bridge off the critical path at
-//!   P=1024+.
+//! * **Clustered** — N buses, each over its own `P/N` processors, plus
+//!   a [`Bridge`]. A completed broadcast performs globally, delivers to
+//!   its own bus's images, and submits the variable to the bridge,
+//!   which batches same-variable submissions within a coalescing window
+//!   and then forwards one broadcast to every image. Because sync
+//!   variables are monotone counters and the bridge re-reads the global
+//!   value at delivery, folding partial barrier/SC/PC counts into one
+//!   forward is lossless — the aggregation that keeps the bridge off
+//!   the critical path at P=1024+.
 //!
-//! Backends are stateless: all transport state (global values, images,
-//! the broadcast queue, deferred image updates, sequence tags) lives in
-//! [`SyncState`], owned by the machine, so the fast-forward and
-//! reference steppers dispatch through one interface and the
-//! equivalence suite proves them bit-identical per fabric. Sync-path
-//! fault injection (drops, delays, reorders, stale/lost images) and the
-//! NACK/retransmit recovery path operate on the queued-broadcast
-//! machinery and therefore apply to the bus backends only; the oracle
-//! has no queue to fault. On the clustered fabric the queue faults hit
-//! the per-cluster buses, and the per-image loss/stale faults apply to
-//! both cluster-local and bridge deliveries, so the recovery ladder is
-//! exercised across the bridge too.
+//! There is one issue path ([`Machine::post`], [`Machine::enqueue_rmw`]),
+//! one arbitration function ([`Machine::grant_bus`]) and one completion
+//! function ([`Machine::complete_bus`]); none of them asks which fabric
+//! it serves. What differs between fabrics follows from the topology:
+//! how many buses are visited (in index order, window flush first and
+//! bridge last, so RNG draws and event order are deterministic in both
+//! step modes), which images a completion reaches, whether a bridge
+//! exists to submit to, and whether a stale delivery is a fault (it is
+//! only where a single bus serializes every broadcast; across several
+//! buses overtaking is routine).
+//!
+//! All transport state lives in [`SyncState`], owned by the machine,
+//! and every function here runs only at stepped (non-quiet) cycles, so
+//! the fast-forward and reference steppers are bit-identical per
+//! fabric. Sync-path fault injection (drops, delays, reorders,
+//! stale/lost images) and the NACK/retransmit recovery path operate on
+//! the queued-broadcast machinery and therefore need a bus; the oracle
+//! has none to fault. Queue faults are drawn per bus, and the per-image
+//! loss/stale faults apply to bus and bridge deliveries alike, so the
+//! recovery ladder is exercised across the bridge too.
 
 use super::Machine;
 use crate::config::FabricKind;
@@ -99,89 +112,55 @@ pub(crate) struct VarLanes {
     pub(crate) applied_seq: Vec<u64>,
 }
 
-/// Two-level transport state for the [`ClusteredFabric`]: the
-/// per-cluster broadcast queues/buses and the bridge between them.
-/// `None` on flat fabrics (allocated once at machine setup).
-///
-/// The bridge pipeline per completed cluster broadcast:
-/// cluster bus → coalescing `window` (folds same-variable followers) →
-/// `bridge_queue` → `bridge_active` (one forward at a time, delivering
-/// the *current* global value to every image).
+/// One broadcast bus: the §6 primitive every fabric is built from.
 #[derive(Debug)]
-pub(crate) struct ClusterState {
-    /// Number of per-cluster buses.
-    pub(crate) clusters: usize,
-    /// Processors per cluster (`procs / clusters`).
-    pub(crate) cluster_size: usize,
+pub(crate) struct SyncBus {
+    /// Broadcasts waiting for the bus.
+    pub(crate) queue: VecDeque<QueuedSync>,
+    /// The broadcast holding the bus, with its end cycle.
+    pub(crate) active: Option<(QueuedSync, u64)>,
+    /// First processor of the broadcast domain.
+    pub(crate) lo: usize,
+    /// One past the last processor of the broadcast domain.
+    pub(crate) hi: usize,
+    /// There is no dedicated sync hardware: this bus *is* the data bus,
+    /// so grants wait for data traffic and tenure is charged to both.
+    pub(crate) shares_data_bus: bool,
+}
+
+/// The second level of a multi-bus fabric. Pipeline per submitted
+/// variable: coalescing `window` (folds same-variable followers) →
+/// `queue` → `active` (one forward at a time, delivering the *current*
+/// global value to every image).
+#[derive(Debug)]
+pub(crate) struct Bridge {
     /// Cycles the bridge holds its channel per forward.
-    pub(crate) bridge_latency: u64,
+    latency: u64,
     /// Cycles a first submission waits for same-variable followers.
-    pub(crate) coalesce_window: u64,
-    /// Broadcasts waiting for each cluster's bus.
-    pub(crate) queues: Vec<VecDeque<QueuedSync>>,
-    /// The broadcast holding each cluster's bus, with its end cycle.
-    pub(crate) actives: Vec<Option<(QueuedSync, u64)>>,
+    coalesce_window: u64,
     /// Coalescing window: `(var, flush_cycle)` in submission order.
     /// Flush cycles are non-decreasing (every entry waits the same
     /// window), so the front is always the earliest.
-    pub(crate) window: VecDeque<(SyncVar, u64)>,
-    /// Variables flushed from the window, waiting for the bridge.
-    pub(crate) bridge_queue: VecDeque<SyncVar>,
-    /// The forward holding the bridge, with its end cycle.
-    pub(crate) bridge_active: Option<(SyncVar, u64)>,
+    window: VecDeque<(SyncVar, u64)>,
+    /// Variables flushed from the window, waiting for the channel.
+    queue: VecDeque<SyncVar>,
+    /// The forward holding the channel, with its end cycle.
+    active: Option<(SyncVar, u64)>,
     /// Per-variable flag: a forward of this variable is pending
     /// somewhere in window/queue/active, so a new submission folds into
     /// it (O(1) membership instead of scanning the pipeline).
-    pub(crate) bridge_pending: Vec<bool>,
-    /// Total entries across queues, actives, window, bridge queue and
-    /// bridge active — 0 iff the whole two-level transport is idle,
-    /// giving `finished`/`deadlocked`/the fast-forward horizon an O(1)
-    /// idle check.
-    pub(crate) inflight: usize,
-}
-
-impl ClusterState {
-    fn new(procs: usize, n_vars: usize, clusters: u32, bridge_latency: u32, window: u32) -> Self {
-        let clusters = (clusters as usize).max(1);
-        debug_assert!(procs.is_multiple_of(clusters), "validate() guarantees clusters divides P");
-        Self {
-            clusters,
-            cluster_size: procs / clusters,
-            bridge_latency: u64::from(bridge_latency.max(1)),
-            coalesce_window: u64::from(window),
-            queues: vec![VecDeque::new(); clusters], // alloc-ok: setup
-            actives: vec![None; clusters],           // alloc-ok: setup
-            window: VecDeque::new(),
-            bridge_queue: VecDeque::new(),
-            bridge_active: None,
-            bridge_pending: vec![false; n_vars], // alloc-ok: setup
-            inflight: 0,
-        }
-    }
-
-    /// Cluster owning processor `p`.
-    #[inline]
-    pub(crate) fn cluster_of(&self, p: usize) -> usize {
-        p / self.cluster_size
-    }
-
-    /// Earliest window flush cycle (`u64::MAX` when the window is
-    /// empty).
-    #[inline]
-    pub(crate) fn window_min(&self) -> u64 {
-        self.window.front().map_or(u64::MAX, |&(_, flush)| flush)
-    }
+    pending: Vec<bool>,
 }
 
 /// All synchronization-transport state: the authoritative global
-/// values, per-processor local images, the broadcast queue, and the
+/// values, per-processor local images, the bus topology, and the
 /// deferred-image and sequence-tag machinery faults and recovery hang
-/// off. Owned by the machine; backends are stateless.
+/// off. Owned by the machine.
 ///
 /// Local images live in one flat **var-major** block
-/// (`images[var * procs + p]`), so a broadcast delivery to all P
-/// consumers is one contiguous lane fill instead of P strided stores —
-/// see [`Machine::write_sync`].
+/// (`images[var * procs + p]`), so a broadcast delivery to a bus's
+/// consumers is one contiguous lane fill instead of strided stores —
+/// see [`Machine::deliver_images`].
 #[derive(Debug)]
 pub(crate) struct SyncState {
     /// Per-variable lanes (global values, applied sequence tags).
@@ -190,10 +169,18 @@ pub(crate) struct SyncState {
     images: Vec<u64>,
     /// Processor count (the images' minor stride).
     procs: usize,
-    /// Broadcasts waiting for the sync bus.
-    pub(crate) queue: VecDeque<QueuedSync>,
-    /// The broadcast currently holding the bus, with its end cycle.
-    pub(crate) active: Option<(QueuedSync, u64)>,
+    /// The broadcast buses, partitioning `0..procs` in index order
+    /// (none on the ideal fabric).
+    pub(crate) buses: Vec<SyncBus>,
+    /// Processors per bus.
+    bus_span: usize,
+    /// The bridge joining the buses, iff there is more than one level.
+    pub(crate) bridge: Option<Bridge>,
+    /// Total entries across every bus queue and tenure and every bridge
+    /// stage — 0 iff the whole transport is idle, giving
+    /// `finished`/`deadlocked`/the fast-forward horizon an O(1) idle
+    /// check.
+    pub(crate) inflight: usize,
     /// Next sync-message issue tag (see [`QueuedSync::seq`]).
     pub(crate) seq: u64,
     /// Deferred local-image updates per processor: `(apply_cycle, var,
@@ -201,48 +188,109 @@ pub(crate) struct SyncState {
     /// they were performed globally, just late.
     pub(crate) defer: Vec<VecDeque<(u64, SyncVar, u64)>>,
     /// Total entries across all `defer` queues; 0 lets
-    /// [`Machine::write_sync`] take the batched lane-fill path.
+    /// [`Machine::deliver_images`] take the batched lane-fill path.
     defer_len: usize,
     /// Earliest due cycle across all `defer` queues (`u64::MAX` when
     /// every queue is empty), so quiescent processors cost nothing in
     /// [`Machine::apply_deferred_images`].
     pub(crate) due_min: u64,
-    /// Two-level transport state ([`ClusteredFabric`] only; `None` on
-    /// flat fabrics, whose behaviour is untouched).
-    pub(crate) cluster: Option<Box<ClusterState>>,
 }
 
 impl SyncState {
-    /// Fresh transport state for `p` processors and `n_vars` variables.
-    pub(crate) fn new(p: usize, n_vars: usize) -> Self {
+    /// Fresh transport state for `p` processors and `n_vars` variables,
+    /// with the bus topology `kind` describes. This is the only place
+    /// the fabric kind is read.
+    pub(crate) fn new(p: usize, n_vars: usize, kind: FabricKind) -> Self {
+        let (n_buses, bridge) = match kind {
+            FabricKind::Ideal => (0, None),
+            FabricKind::Dedicated | FabricKind::Shared => (1, None),
+            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
+                let bridge = Bridge {
+                    latency: u64::from(bridge_latency.max(1)),
+                    coalesce_window: u64::from(coalesce_window),
+                    window: VecDeque::new(),
+                    queue: VecDeque::new(),
+                    active: None,
+                    pending: vec![false; n_vars], // alloc-ok: setup
+                };
+                ((clusters as usize).max(1), Some(bridge))
+            }
+        };
+        debug_assert!(p.is_multiple_of(n_buses.max(1)), "validate() guarantees clusters divides P");
+        let bus_span = p / n_buses.max(1);
+        let bus = |b: usize| SyncBus {
+            queue: VecDeque::new(),
+            active: None,
+            lo: b * bus_span,
+            hi: (b + 1) * bus_span,
+            shares_data_bus: kind == FabricKind::Shared,
+        };
         Self {
             vars: VarLanes { global: vec![0; n_vars], applied_seq: vec![0; n_vars] }, // alloc-ok: setup
             images: vec![0; n_vars * p], // alloc-ok: setup
             procs: p,
-            queue: VecDeque::new(),
-            active: None,
+            buses: (0..n_buses).map(bus).collect(), // alloc-ok: setup
+            bus_span,
+            bridge,
+            inflight: 0,
             seq: 0,
             defer: vec![VecDeque::new(); p], // alloc-ok: setup
             defer_len: 0,
             due_min: u64::MAX,
-            cluster: None,
         }
     }
 
-    /// Installs the two-level transport state for a
-    /// [`FabricKind::Clustered`] machine (setup only).
-    pub(crate) fn install_clusters(&mut self, clusters: u32, bridge_latency: u32, window: u32) {
-        let n_vars = self.n_vars();
-        self.cluster =
-            Some(Box::new(ClusterState::new(self.procs, n_vars, clusters, bridge_latency, window)));
-        // alloc-ok: setup
+    /// The bus whose broadcast domain contains processor `p`.
+    #[inline]
+    fn bus_of(&mut self, p: usize) -> &mut SyncBus {
+        &mut self.buses[p / self.bus_span]
     }
 
-    /// True when the two-level transport (if any) holds no in-flight
-    /// work. Always true on flat fabrics.
-    #[inline]
-    pub(crate) fn clusters_idle(&self) -> bool {
-        self.cluster.as_ref().is_none_or(|cl| cl.inflight == 0)
+    /// Queues `msg` on processor `p`'s bus as it is (no coalescing).
+    pub(crate) fn enqueue(&mut self, p: usize, msg: QueuedSync) {
+        self.bus_of(p).queue.push_back(msg);
+        self.inflight += 1;
+    }
+
+    /// Cycles the second level adds to the longest legitimate delivery
+    /// path (window flush plus bridge tenure; 0 without a bridge).
+    pub(crate) fn bridge_path(&self) -> u64 {
+        self.bridge.as_ref().map_or(0, |b| b.coalesce_window + b.latency)
+    }
+
+    /// The transport's half of the fast-forward horizon: `None` when a
+    /// bus or the bridge acts at cycle `c`, else the earliest future
+    /// cycle one will (`u64::MAX` when idle). `inflight` gates the walk,
+    /// so a drained transport costs one branch.
+    pub(crate) fn horizon(&self, c: u64) -> Option<u64> {
+        let mut next = u64::MAX;
+        if self.inflight == 0 {
+            return Some(next);
+        }
+        // A tenure ending is an event; an idle channel with a queued
+        // entry grants this cycle.
+        let mut channel = |end: Option<u64>, queued: bool| match end {
+            Some(end) if end <= c => false,
+            Some(end) => {
+                next = next.min(end);
+                true
+            }
+            None => !queued,
+        };
+        for bus in &self.buses {
+            if !channel(bus.active.map(|(_, end)| end), !bus.queue.is_empty()) {
+                return None;
+            }
+        }
+        if let Some(bridge) = &self.bridge {
+            let flush = bridge.window.front().map(|&(_, flush)| flush);
+            if !channel(flush, false)
+                || !channel(bridge.active.map(|(_, end)| end), !bridge.queue.is_empty())
+            {
+                return None;
+            }
+        }
+        Some(next)
     }
 
     /// Number of synchronization variables.
@@ -273,8 +321,8 @@ impl SyncState {
         self.vars.global.resize(n, 0); // alloc-ok: setup
         self.vars.applied_seq.resize(n, 0); // alloc-ok: setup
         self.images.resize(n * self.procs, 0); // alloc-ok: setup
-        if let Some(cl) = &mut self.cluster {
-            cl.bridge_pending.resize(n, false); // alloc-ok: setup
+        if let Some(bridge) = &mut self.bridge {
+            bridge.pending.resize(n, false); // alloc-ok: setup
         }
     }
 
@@ -298,205 +346,28 @@ impl SyncState {
     }
 }
 
-/// A synchronization-fabric backend: the transport that carries
-/// dedicated-transport sync operations (posted writes and atomic
-/// fetch-increments) to the global state and the local images.
-///
-/// Backends are stateless unit structs ([`FabricKind::backend`] hands
-/// out `&'static` instances); all mutable transport state lives in the
-/// machine's [`SyncState`]. Every method runs only at stepped
-/// (non-quiet) cycles, which is what keeps the fast-forward and
-/// reference steppers bit-identical per fabric.
-pub trait SyncFabric: std::fmt::Debug + Sync {
-    /// The configuration tag this backend implements.
-    fn kind(&self) -> FabricKind;
-
-    /// Whether sync grants contend with data traffic for one physical
-    /// bus (no dedicated sync hardware).
-    fn shares_data_bus(&self) -> bool {
-        false
-    }
-
-    /// Issues a posted write of `val` to `var` from `proc`. Posted
-    /// writes never block the issuing processor.
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64);
-
-    /// Issues an atomic fetch-increment on `var` from `proc`. Returns
-    /// `true` when the operation completed instantly (the processor
-    /// does not block on the sync bus).
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool;
-
-    /// Arbitrates pending broadcasts for this cycle, granting at most
-    /// one.
-    fn grant(&self, m: &mut Machine<'_>);
-
-    /// Completes a broadcast whose bus tenure ends this cycle,
-    /// delivering it (or re-queueing it under an injected drop).
-    fn complete(&self, m: &mut Machine<'_>) {
-        m.complete_sync();
-    }
-}
-
-/// The paper's §6 hardware: a dedicated synchronization bus, physically
-/// separate from the data bus, broadcasting posted writes to
-/// per-processor local images.
-#[derive(Debug)]
-pub struct DedicatedBus;
-
-impl SyncFabric for DedicatedBus {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Dedicated
-    }
-
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_write(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw(proc, var);
-        false
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        m.grant_sync_queue(false);
-    }
-}
-
-/// No dedicated hardware: broadcasts ride the one physical bus and
-/// arbitrate against data traffic (data has priority; an in-flight
-/// broadcast blocks data grants and vice versa). A granted broadcast's
-/// tenure is charged to both bus-occupancy counters — there is only one
-/// bus, and those cycles are unavailable to data traffic.
-#[derive(Debug)]
-pub struct SharedDataBus;
-
-impl SyncFabric for SharedDataBus {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Shared
-    }
-
-    fn shares_data_bus(&self) -> bool {
-        true
-    }
-
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_write(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw(proc, var);
-        false
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        // Data traffic was granted first this cycle (priority); the
-        // bus must be entirely free for a broadcast to start.
-        if m.mem.active.is_some() {
-            return;
-        }
-        m.grant_sync_queue(true);
-    }
-}
-
-/// A zero-latency oracle: posts and RMWs perform globally and in every
-/// local image the instant they issue. No queue, no occupancy, no RNG
-/// draws, immune to sync-path faults — the upper bound on what any sync
-/// interconnect could achieve.
-#[derive(Debug)]
-pub struct IdealFabric;
-
-impl SyncFabric for IdealFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Ideal
-    }
-
-    fn post(&self, m: &mut Machine<'_>, _proc: usize, var: SyncVar, val: u64) {
-        m.metrics.sync_vars[var].posts += 1;
-        m.apply_instantly(var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, _proc: usize, var: SyncVar) -> bool {
-        let val = m.sync.vars.global[var] + 1;
-        m.stats.rmw_ops += 1;
-        m.apply_instantly(var, val);
-        true
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        debug_assert!(m.sync.queue.is_empty(), "the oracle never queues broadcasts");
-    }
-
-    fn complete(&self, m: &mut Machine<'_>) {
-        debug_assert!(m.sync.active.is_none(), "the oracle never holds a bus");
-    }
-}
-
-/// The two-level hierarchy for large P: per-cluster dedicated buses
-/// joined by a coalescing bridge (see [`ClusterState`] for the
-/// pipeline). Like every backend it is stateless — the geometry
-/// (cluster count, bridge latency, coalescing window) is read from the
-/// machine's [`FabricKind::Clustered`] config at setup and lives in
-/// [`SyncState::cluster`].
-#[derive(Debug)]
-pub struct ClusteredFabric;
-
-impl SyncFabric for ClusteredFabric {
-    fn kind(&self) -> FabricKind {
-        // Representative tag: the live geometry is per-machine config,
-        // not backend state.
-        FabricKind::clustered(4)
-    }
-
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_clustered(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw_clustered(proc, var);
-        false
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        m.grant_clustered();
-    }
-
-    fn complete(&self, m: &mut Machine<'_>) {
-        m.complete_clustered();
-    }
-}
-
-static DEDICATED: DedicatedBus = DedicatedBus;
-static SHARED: SharedDataBus = SharedDataBus;
-static IDEAL: IdealFabric = IdealFabric;
-static CLUSTERED: ClusteredFabric = ClusteredFabric;
-
-impl FabricKind {
-    /// The stateless backend instance implementing this kind.
-    pub(crate) fn backend(self) -> &'static dyn SyncFabric {
-        match self {
-            FabricKind::Dedicated => &DEDICATED,
-            FabricKind::Shared => &SHARED,
-            FabricKind::Ideal => &IDEAL,
-            FabricKind::Clustered { .. } => &CLUSTERED,
-        }
-    }
-}
-
 impl<'a> Machine<'a> {
     pub(crate) fn next_sync_seq(&mut self) -> u64 {
         self.sync.seq += 1;
         self.sync.seq
     }
 
-    /// Queues a posted sync write, coalescing into an already-queued
-    /// post to the same variable from the same processor when enabled
-    /// (Section 6 optimization).
-    pub(crate) fn post_sync_write(&mut self, proc: usize, var: SyncVar, val: u64) {
+    /// Issues a posted write of `val` to `var` from `proc` on the
+    /// issuing processor's bus, coalescing into an already-queued post
+    /// to the same variable from the same processor on that bus when
+    /// enabled (Section 6 optimization). Posted writes never block the
+    /// issuing processor. With no bus the write performs instantly.
+    pub(crate) fn post(&mut self, proc: usize, var: SyncVar, val: u64) {
         self.metrics.sync_vars[var].posts += 1;
+        if self.sync.buses.is_empty() {
+            self.apply_instantly(var, val);
+            return;
+        }
         self.stats.sync_ops_issued += 1;
         let seq = self.next_sync_seq();
+        let bus = self.sync.bus_of(proc);
         if self.config.coalesce_sync_writes {
-            for pending in self.sync.queue.iter_mut() {
+            for pending in bus.queue.iter_mut() {
                 if pending.refresh {
                     // Never fold a real post into a refresh: the refresh
                     // re-reads global at delivery and would drop `val`.
@@ -514,24 +385,31 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        self.sync
-            .queue
-            .push_back(QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
+        bus.queue.push_back(QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
+        self.sync.inflight += 1;
     }
 
-    /// Queues an atomic fetch-increment broadcast from `proc`.
-    pub(crate) fn enqueue_rmw(&mut self, proc: usize, var: SyncVar) {
+    /// Issues an atomic fetch-increment on `var` from `proc`. Returns
+    /// `true` when it completed instantly (no bus to wait for), `false`
+    /// when it was queued and the processor must block on its bus.
+    pub(crate) fn enqueue_rmw(&mut self, proc: usize, var: SyncVar) -> bool {
+        if self.sync.buses.is_empty() {
+            self.stats.rmw_ops += 1;
+            self.apply_instantly(var, self.sync.vars.global[var] + 1);
+            return true;
+        }
         self.stats.sync_ops_issued += 1;
         let seq = self.next_sync_seq();
-        self.sync.queue.push_back(QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
+        self.sync.enqueue(proc, QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
+        false
     }
 
     /// Performs a sync write instantly — globally and in every image —
-    /// for the [`IdealFabric`] oracle. Bypasses the queue, the faults
-    /// and the deferral machinery entirely (the oracle cannot lose or
-    /// lag an update), but still counts the delivery so traffic columns
-    /// stay comparable across fabrics.
-    pub(crate) fn apply_instantly(&mut self, var: SyncVar, val: u64) {
+    /// for the bus-less ideal fabric. Bypasses the faults and the
+    /// deferral machinery entirely (the oracle cannot lose or lag an
+    /// update), but still counts the delivery so traffic columns stay
+    /// comparable across fabrics.
+    fn apply_instantly(&mut self, var: SyncVar, val: u64) {
         self.stats.sync_ops_issued += 1;
         self.stats.sync_broadcasts += 1;
         self.sync.vars.global[var] = val;
@@ -542,299 +420,102 @@ impl<'a> Machine<'a> {
         self.note_progress();
     }
 
-    /// Grants the sync bus to the next queued broadcast, modelling the
-    /// faulty-arbiter reordering and injected grant delays. With
-    /// `shared_bus`, the grant's tenure is also charged to the data-bus
-    /// occupancy counter — it is the same physical bus.
-    pub(crate) fn grant_sync_queue(&mut self, shared_bus: bool) {
-        if self.sync.active.is_some() {
+    /// One arbitration pass of the transport: flush the bridge's
+    /// coalescing window, grant each idle bus, then grant the bridge.
+    /// Buses arbitrate independently — with more than one, this is
+    /// where a flat bus's P-wide serialization disappears.
+    pub(crate) fn grant_sync(&mut self) {
+        if self.sync.inflight == 0 {
+            return;
+        }
+        self.flush_bridge_window();
+        for b in 0..self.sync.buses.len() {
+            self.grant_bus(b);
+        }
+        self.grant_bridge();
+    }
+
+    /// Grants bus `b` to its next queued broadcast, modelling the
+    /// faulty-arbiter reordering and injected grant delays (each bus has
+    /// its own arbiter and draws its own faults).
+    fn grant_bus(&mut self, b: usize) {
+        let bus = &mut self.sync.buses[b];
+        // On a bus shared with data traffic, data was granted first this
+        // cycle (priority); the bus must be entirely free for a
+        // broadcast to start.
+        let shared = bus.shares_data_bus;
+        if bus.active.is_some() || (shared && self.mem.active.is_some()) {
             return;
         }
         let f = self.config.faults;
         let picked = if f.broadcast_reorder_pct > 0
-            && self.sync.queue.len() >= 2
+            && bus.queue.len() >= 2
             && self.rng.chance_pct(f.broadcast_reorder_pct)
         {
             // Faulty arbiter: grant a younger message. The overtaken
             // head is marked faulted with its counterfactual grant
             // cycle, so its recovery latency is measured end-to-end.
-            self.stats.faults.reordered_broadcasts += 1;
-            self.record_fault(None, FaultClass::BroadcastReorder, 0);
-            if let Some(head) = self.sync.queue.front_mut() {
+            if let Some(head) = bus.queue.front_mut() {
                 head.faulted = true;
                 head.first_grant.get_or_insert(self.cycle);
             }
-            let ix = self.rng.range_usize(1, self.sync.queue.len() - 1);
-            self.sync.queue.remove(ix)
+            let ix = self.rng.range_usize(1, bus.queue.len() - 1);
+            let picked = bus.queue.remove(ix);
+            self.stats.faults.reordered_broadcasts += 1;
+            self.record_fault(None, FaultClass::BroadcastReorder, 0);
+            picked
         } else {
-            self.sync.queue.pop_front()
+            bus.queue.pop_front()
         };
-        if let Some(mut entry) = picked {
-            // Recovery refreshes occupy the bus but are not counted as
-            // broadcasts: they re-deliver an already-performed value,
-            // and counting them would break the conservation identity
-            // (issued == broadcasts + coalesced) whenever a legitimate
-            // fault-free NACK fires.
-            if !entry.refresh {
-                self.stats.sync_broadcasts += 1;
-            }
-            if let SyncReq::Rmw { .. } = entry.req {
-                self.stats.rmw_ops += 1;
-            }
-            entry.first_grant.get_or_insert(self.cycle);
-            let mut dur = u64::from(self.config.sync_bus_latency);
-            if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
-                let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
-                dur += extra;
-                entry.faulted = true;
-                self.stats.faults.delayed_broadcasts += 1;
-                self.stats.faults.delay_cycles += extra;
-                self.record_fault(None, FaultClass::BroadcastDelay, extra);
-            }
-            let (var, rmw) = match entry.req {
-                SyncReq::Post { var, .. } => (var, false),
-                SyncReq::Rmw { var, .. } => (var, true),
-            };
-            self.metrics.sync_bus_busy += dur;
-            if shared_bus {
-                // One physical bus: these cycles are lost to data
-                // traffic too.
-                self.metrics.data_bus_busy += dur;
-            }
-            self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
-            self.sync.active = Some((entry, self.cycle + dur));
-            self.note_progress();
+        let Some(mut entry) = picked else { return };
+        // Recovery refreshes occupy the bus but are not counted as
+        // broadcasts: they re-deliver an already-performed value, and
+        // counting them would break the conservation identity (issued ==
+        // broadcasts + coalesced) whenever a legitimate fault-free NACK
+        // fires.
+        if !entry.refresh {
+            self.stats.sync_broadcasts += 1;
         }
-    }
-
-    /// Completes the broadcast whose bus tenure ends this cycle:
-    /// re-queues it under an injected drop, discards it as stale if a
-    /// newer write already performed, or delivers it (a refresh
-    /// re-reading the current global value).
-    pub(crate) fn complete_sync(&mut self) {
-        let Some((entry, end)) = self.sync.active else { return };
-        if end != self.cycle {
-            return;
+        if let SyncReq::Rmw { .. } = entry.req {
+            self.stats.rmw_ops += 1;
         }
-        self.sync.active = None;
-        let f = self.config.faults;
-        if f.broadcast_drop_pct > 0
-            && entry.redeliveries < f.max_redeliveries
-            && self.rng.chance_pct(f.broadcast_drop_pct)
-        {
-            // Lost broadcast: re-queue for (bounded) redelivery.
-            self.stats.faults.dropped_broadcasts += 1;
-            self.record_fault(None, FaultClass::BroadcastDrop, 0);
-            self.sync.queue.push_back(QueuedSync {
-                redeliveries: entry.redeliveries + 1,
-                faulted: true,
-                ..entry
-            });
-        } else {
-            if entry.faulted {
-                if let Some(first) = entry.first_grant {
-                    let fault_free = first + u64::from(self.config.sync_bus_latency);
-                    let rec = self.cycle.saturating_sub(fault_free);
-                    self.stats.faults.recovery_cycles += rec;
-                    self.stats.faults.recovery_max = self.stats.faults.recovery_max.max(rec);
-                }
-            }
-            match entry.req {
-                SyncReq::Post { var, .. } if entry.refresh => {
-                    // A refresh heals images from the *current* global
-                    // value (a payload captured at NACK time could have
-                    // been overtaken by an RMW granted since, and
-                    // re-applying it would regress the counter). It is
-                    // not a write: it never advances `applied_seq` — a
-                    // refresh outrunning an older-seq real post still in
-                    // flight would otherwise get that post discarded as
-                    // stale, losing the write — and cannot itself be
-                    // stale.
-                    let val = self.sync.vars.global[var];
-                    self.events
-                        .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
-                    self.write_sync(var, val);
-                }
-                SyncReq::Post { var, val, .. } => {
-                    let stale = entry.seq <= self.sync.vars.applied_seq[var];
-                    self.events.record(self.cycle, SimEventKind::SyncDeliver { var, val, stale });
-                    if !stale {
-                        self.sync.vars.applied_seq[var] = entry.seq;
-                        self.write_sync(var, val);
-                    } else {
-                        // A drop or reorder let a newer write to
-                        // this variable perform first: this late
-                        // delivery is stale and must be discarded,
-                        // not applied (sync variables are
-                        // monotonic counters; regressing one would
-                        // wedge every waiter past the lost value).
-                        self.stats.faults.stale_deliveries_discarded += 1;
-                    }
-                }
-                SyncReq::Rmw { proc, var } => {
-                    self.sync.vars.applied_seq[var] =
-                        self.sync.vars.applied_seq[var].max(entry.seq);
-                    let v = self.sync.vars.global[var] + 1;
-                    self.events.record(
-                        self.cycle,
-                        SimEventKind::SyncDeliver { var, val: v, stale: false },
-                    );
-                    self.write_sync(var, v);
-                    self.unblock(proc);
-                }
-            }
-            self.note_progress();
+        entry.first_grant.get_or_insert(self.cycle);
+        let mut dur = u64::from(self.config.sync_bus_latency);
+        if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
+            let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
+            dur += extra;
+            entry.faulted = true;
+            self.stats.faults.delayed_broadcasts += 1;
+            self.stats.faults.delay_cycles += extra;
+            self.record_fault(None, FaultClass::BroadcastDelay, extra);
         }
-    }
-
-    /// Queues a posted sync write on the issuing processor's cluster
-    /// bus, coalescing into an already-queued post to the same variable
-    /// from the same processor on that bus when enabled. The clustered
-    /// counterpart of [`Machine::post_sync_write`].
-    pub(crate) fn post_sync_clustered(&mut self, proc: usize, var: SyncVar, val: u64) {
-        self.metrics.sync_vars[var].posts += 1;
-        self.stats.sync_ops_issued += 1;
-        let seq = self.next_sync_seq();
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        let c = cl.cluster_of(proc);
-        if self.config.coalesce_sync_writes {
-            for pending in cl.queues[c].iter_mut() {
-                if pending.refresh {
-                    // Never fold a real post into a refresh (see
-                    // post_sync_write).
-                    continue;
-                }
-                if let SyncReq::Post { proc: p, var: v, val: pv } = &mut pending.req {
-                    if *p == proc && *v == var {
-                        *pv = val;
-                        pending.seq = seq;
-                        self.stats.coalesced_writes += 1;
-                        return;
-                    }
-                }
-            }
+        let (var, rmw) = match entry.req {
+            SyncReq::Post { var, .. } => (var, false),
+            SyncReq::Rmw { var, .. } => (var, true),
+        };
+        // Summed over parallel buses (can exceed makespan, like
+        // bank_busy).
+        self.metrics.sync_bus_busy += dur;
+        if shared {
+            // One physical bus: these cycles are lost to data traffic
+            // too.
+            self.metrics.data_bus_busy += dur;
         }
-        cl.queues[c].push_back(QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
-        cl.inflight += 1;
-    }
-
-    /// Queues an atomic fetch-increment on the issuing processor's
-    /// cluster bus.
-    pub(crate) fn enqueue_rmw_clustered(&mut self, proc: usize, var: SyncVar) {
-        self.stats.sync_ops_issued += 1;
-        let seq = self.next_sync_seq();
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        let c = cl.cluster_of(proc);
-        cl.queues[c].push_back(QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
-        cl.inflight += 1;
-    }
-
-    /// Queues a broadcast on `proc`'s transport: its cluster bus when
-    /// clustered, the flat sync queue otherwise. Recovery retransmissions
-    /// go through here so a NACKing processor's refresh rides its own
-    /// cluster's bus.
-    pub(crate) fn push_sync_for_proc(&mut self, proc: usize, msg: QueuedSync) {
-        match self.sync.cluster.as_mut() {
-            Some(cl) => {
-                let c = cl.cluster_of(proc);
-                cl.queues[c].push_back(msg);
-                cl.inflight += 1;
-            }
-            None => self.sync.queue.push_back(msg),
-        }
-    }
-
-    /// One arbitration pass of the two-level transport: flush the
-    /// coalescing window, grant each idle cluster bus, then grant the
-    /// bridge. Clusters arbitrate independently — this is where the
-    /// flat bus's P-wide serialization disappears.
-    pub(crate) fn grant_clustered(&mut self) {
-        let cl = self.sync.cluster.as_ref().expect("clustered fabric state");
-        if cl.inflight == 0 {
-            return;
-        }
-        let clusters = cl.clusters;
-        self.flush_bridge_window();
-        for c in 0..clusters {
-            self.grant_cluster_bus(c);
-        }
-        self.grant_bridge();
+        self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
+        self.sync.buses[b].active = Some((entry, self.cycle + dur));
+        self.note_progress();
     }
 
     /// Moves window entries whose coalescing window has elapsed to the
     /// bridge queue (in submission order).
     fn flush_bridge_window(&mut self) {
-        let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        while let Some(&(var, flush)) = cl.window.front() {
-            if flush > cycle {
+        let Some(bridge) = &mut self.sync.bridge else { return };
+        while let Some(&(var, flush)) = bridge.window.front() {
+            if flush > self.cycle {
                 break;
             }
-            cl.window.pop_front();
-            cl.bridge_queue.push_back(var);
-        }
-    }
-
-    /// Grants cluster `c`'s bus to its next queued broadcast, modelling
-    /// the same faulty-arbiter reordering and grant delays as the flat
-    /// bus (each cluster bus has its own arbiter and draws its own
-    /// faults).
-    fn grant_cluster_bus(&mut self, c: usize) {
-        if self.sync.cluster.as_ref().expect("clustered fabric state").actives[c].is_some() {
-            return;
-        }
-        let f = self.config.faults;
-        let queued = self.sync.cluster.as_ref().expect("clustered fabric state").queues[c].len();
-        let picked = if f.broadcast_reorder_pct > 0
-            && queued >= 2
-            && self.rng.chance_pct(f.broadcast_reorder_pct)
-        {
-            self.stats.faults.reordered_broadcasts += 1;
-            self.record_fault(None, FaultClass::BroadcastReorder, 0);
-            let cycle = self.cycle;
-            let ix = self.rng.range_usize(1, queued - 1);
-            let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-            if let Some(head) = cl.queues[c].front_mut() {
-                head.faulted = true;
-                head.first_grant.get_or_insert(cycle);
-            }
-            cl.queues[c].remove(ix)
-        } else {
-            self.sync.cluster.as_mut().expect("clustered fabric state").queues[c].pop_front()
-        };
-        if let Some(mut entry) = picked {
-            // Recovery refreshes occupy the bus but are not counted as
-            // broadcasts: they re-deliver an already-performed value,
-            // and counting them would break the conservation identity
-            // (issued == broadcasts + coalesced) whenever a legitimate
-            // fault-free NACK fires.
-            if !entry.refresh {
-                self.stats.sync_broadcasts += 1;
-            }
-            if let SyncReq::Rmw { .. } = entry.req {
-                self.stats.rmw_ops += 1;
-            }
-            entry.first_grant.get_or_insert(self.cycle);
-            let mut dur = u64::from(self.config.sync_bus_latency);
-            if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
-                let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
-                dur += extra;
-                entry.faulted = true;
-                self.stats.faults.delayed_broadcasts += 1;
-                self.stats.faults.delay_cycles += extra;
-                self.record_fault(None, FaultClass::BroadcastDelay, extra);
-            }
-            let (var, rmw) = match entry.req {
-                SyncReq::Post { var, .. } => (var, false),
-                SyncReq::Rmw { var, .. } => (var, true),
-            };
-            // Summed over parallel cluster buses (can exceed makespan,
-            // like bank_busy).
-            self.metrics.sync_bus_busy += dur;
-            self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
-            self.sync.cluster.as_mut().expect("clustered fabric state").actives[c] =
-                Some((entry, self.cycle + dur));
-            self.note_progress();
+            bridge.window.pop_front();
+            bridge.queue.push_back(var);
         }
     }
 
@@ -842,80 +523,59 @@ impl<'a> Machine<'a> {
     /// time: the bridge is a single shared channel, but aggregation
     /// (see [`Machine::bridge_submit`]) keeps its queue short.
     fn grant_bridge(&mut self) {
-        let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        if cl.bridge_active.is_some() {
+        let Some(bridge) = &mut self.sync.bridge else { return };
+        if bridge.active.is_some() {
             return;
         }
-        let Some(var) = cl.bridge_queue.pop_front() else { return };
-        let dur = cl.bridge_latency;
-        cl.bridge_active = Some((var, cycle + dur));
+        let Some(var) = bridge.queue.pop_front() else { return };
+        let dur = bridge.latency;
+        bridge.active = Some((var, self.cycle + dur));
         self.stats.bridge_broadcasts += 1;
         self.metrics.bridge_busy += dur;
-        self.events.record(cycle, SimEventKind::BridgeForward { var, dur });
+        self.events.record(self.cycle, SimEventKind::BridgeForward { var, dur });
         self.note_progress();
     }
 
-    /// Completes every broadcast whose tenure ends this cycle: each
-    /// cluster bus in index order (deterministic in both stepping
-    /// modes), then the bridge — so a forward ending this cycle
-    /// delivers a global value that already includes this cycle's
-    /// cluster completions.
-    pub(crate) fn complete_clustered(&mut self) {
-        let cl = self.sync.cluster.as_ref().expect("clustered fabric state");
-        if cl.inflight == 0 {
+    /// Completes every broadcast whose tenure ends this cycle: each bus
+    /// in index order (deterministic in both stepping modes), then the
+    /// bridge — so a forward ending this cycle delivers a global value
+    /// that already includes this cycle's bus completions.
+    pub(crate) fn complete_sync(&mut self) {
+        if self.sync.inflight == 0 {
             return;
         }
-        let clusters = cl.clusters;
-        for c in 0..clusters {
-            let due = match self.sync.cluster.as_ref().expect("clustered fabric state").actives[c] {
-                Some((entry, end)) if end == self.cycle => Some(entry),
-                _ => None,
-            };
-            if let Some(entry) = due {
-                self.sync.cluster.as_mut().expect("clustered fabric state").actives[c] = None;
-                self.complete_cluster_entry(c, entry);
-            }
+        for b in 0..self.sync.buses.len() {
+            self.complete_bus(b);
         }
-        let due = match self.sync.cluster.as_ref().expect("clustered fabric state").bridge_active {
-            Some((var, end)) if end == self.cycle => Some(var),
-            _ => None,
-        };
-        if let Some(var) = due {
-            {
-                let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-                cl.bridge_active = None;
-                cl.bridge_pending[var] = false;
-                cl.inflight -= 1;
-            }
-            // The forward carries no payload: it re-reads the current
-            // global value, so every update folded into it since it was
-            // submitted is delivered too (monotone counters make the
-            // newer value satisfy every waiter of the older ones).
-            let val = self.sync.vars.global[var];
-            self.events
-                .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
-            let procs = self.sync.procs;
-            self.deliver_images(var, val, 0, procs);
-            self.note_progress();
-        }
+        self.complete_bridge();
     }
 
-    /// Terminal handling of a cluster-bus broadcast: re-queue under an
-    /// injected drop, deliver to the cluster's own images, and submit
-    /// the variable to the bridge. The clustered counterpart of
-    /// [`Machine::complete_sync`].
-    fn complete_cluster_entry(&mut self, c: usize, entry: QueuedSync) {
+    /// Completes bus `b`'s broadcast if its tenure ends this cycle:
+    /// re-queues it under an injected drop, discards it as stale if a
+    /// newer write already performed, or performs it globally and
+    /// delivers it to the bus's own images; every real completion then
+    /// submits its variable to the bridge, if there is one.
+    fn complete_bus(&mut self, b: usize) {
+        let bus = &mut self.sync.buses[b];
+        let Some((entry, end)) = bus.active else { return };
+        if end != self.cycle {
+            return;
+        }
+        bus.active = None;
+        let (lo, hi) = (bus.lo, bus.hi);
         let f = self.config.faults;
         if f.broadcast_drop_pct > 0
             && entry.redeliveries < f.max_redeliveries
             && self.rng.chance_pct(f.broadcast_drop_pct)
         {
+            // Lost broadcast: re-queue for (bounded) redelivery.
+            bus.queue.push_back(QueuedSync {
+                redeliveries: entry.redeliveries + 1,
+                faulted: true,
+                ..entry
+            });
             self.stats.faults.dropped_broadcasts += 1;
             self.record_fault(None, FaultClass::BroadcastDrop, 0);
-            self.sync.cluster.as_mut().expect("clustered fabric state").queues[c].push_back(
-                QueuedSync { redeliveries: entry.redeliveries + 1, faulted: true, ..entry },
-            );
             return;
         }
         if entry.faulted {
@@ -926,18 +586,18 @@ impl<'a> Machine<'a> {
                 self.stats.faults.recovery_max = self.stats.faults.recovery_max.max(rec);
             }
         }
-        let size = self.sync.cluster.as_ref().expect("clustered fabric state").cluster_size;
-        let (lo, hi) = (c * size, (c + 1) * size);
         match entry.req {
             SyncReq::Post { var, .. } if entry.refresh => {
-                // A refresh heals this cluster's images from the current
-                // global value and never forwards. It is not a write: it
-                // must not advance `applied_seq` — cross-cluster
-                // overtaking is routine here (a refresh on an idle
-                // cluster bus can beat an older-seq real post queued on
-                // a busy one), and bumping the sequence would get that
-                // post discarded as stale, losing the write for good —
-                // and it cannot itself be stale.
+                // A refresh heals this bus's images from the *current*
+                // global value (a payload captured at NACK time could
+                // have been overtaken by an RMW granted since, and
+                // re-applying it would regress the counter). It is not a
+                // write: it never advances `applied_seq` — a refresh
+                // outrunning an older-seq real post still in flight
+                // (queued behind it after a reorder, or on another,
+                // busier bus) would otherwise get that post discarded as
+                // stale, losing the write for good — it cannot itself be
+                // stale, and it never submits to the bridge.
                 let val = self.sync.vars.global[var];
                 self.events
                     .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
@@ -950,14 +610,18 @@ impl<'a> Machine<'a> {
                     self.sync.vars.applied_seq[var] = entry.seq;
                     self.sync.vars.global[var] = val;
                     self.deliver_images(var, val, lo, hi);
-                } else if entry.faulted {
+                } else if entry.faulted || self.sync.buses.len() == 1 {
+                    // A newer write to this variable performed first:
+                    // this late delivery must be discarded, not applied
+                    // (sync variables are monotonic counters; regressing
+                    // one would wedge every waiter past the lost value).
+                    // A single bus serializes every broadcast, so there
+                    // the discard always counts as a fault; across
+                    // several buses an older post completing after a
+                    // newer one on another bus is routine overtaking and
+                    // counts only when a fault touched the message.
                     self.stats.faults.stale_deliveries_discarded += 1;
                 }
-                // else: fault-free cross-cluster overtaking — an older
-                // post completed after a newer same-variable one on
-                // another cluster's bus. Monotone counters make the
-                // discard harmless, and it is not a fault.
-                //
                 // Delivered or stale, every real completion submits to
                 // the bridge: this keeps the two-level conservation
                 // identity exact on fault-free runs (sync_broadcasts ==
@@ -975,39 +639,59 @@ impl<'a> Machine<'a> {
                 self.bridge_submit(var);
             }
         }
-        self.sync.cluster.as_mut().expect("clustered fabric state").inflight -= 1;
+        self.sync.inflight -= 1;
         self.note_progress();
     }
 
-    /// Submits a variable to the bridge after a cluster-bus completion.
-    /// If a forward of the same variable is already pending anywhere in
-    /// the bridge pipeline, the submission folds into it — the
-    /// barrier/SC/PC aggregation that collapses P partial-count updates
-    /// into one global broadcast.
+    /// Completes the bridge forward if its tenure ends this cycle.
+    fn complete_bridge(&mut self) {
+        let Some(bridge) = &mut self.sync.bridge else { return };
+        let Some((var, end)) = bridge.active else { return };
+        if end != self.cycle {
+            return;
+        }
+        bridge.active = None;
+        bridge.pending[var] = false;
+        self.sync.inflight -= 1;
+        // The forward carries no payload: it re-reads the current
+        // global value, so every update folded into it since it was
+        // submitted is delivered too (monotone counters make the
+        // newer value satisfy every waiter of the older ones).
+        let val = self.sync.vars.global[var];
+        self.events
+            .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
+        let procs = self.sync.procs;
+        self.deliver_images(var, val, 0, procs);
+        self.note_progress();
+    }
+
+    /// Submits a variable to the bridge (if the topology has one) after
+    /// a bus completion. If a forward of the same variable is already
+    /// pending anywhere in the bridge pipeline, the submission folds
+    /// into it — the barrier/SC/PC aggregation that collapses P
+    /// partial-count updates into one global broadcast.
     fn bridge_submit(&mut self, var: SyncVar) {
-        let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        if cl.bridge_pending[var] {
+        let Some(bridge) = &mut self.sync.bridge else { return };
+        if bridge.pending[var] {
             self.stats.bridge_coalesced += 1;
             return;
         }
-        cl.bridge_pending[var] = true;
-        let flush = cycle + cl.coalesce_window;
-        cl.window.push_back((var, flush));
-        cl.inflight += 1;
+        bridge.pending[var] = true;
+        bridge.window.push_back((var, self.cycle + bridge.coalesce_window));
+        self.sync.inflight += 1;
     }
 
-    /// Performs a sync write globally and broadcasts it to every local
-    /// image.
+    /// Performs a sync write that went through memory (the
+    /// shared-memory transport): globally, and to every local image.
     pub(crate) fn write_sync(&mut self, var: SyncVar, val: u64) {
         self.sync.vars.global[var] = val;
         let procs = self.sync.procs;
         self.deliver_images(var, val, 0, procs);
     }
 
-    /// Delivers `val` to the local images of processors `lo..hi` (a
-    /// cluster's broadcast domain, or `0..procs` for a flat or bridge
-    /// broadcast), subject to the per-image loss and staleness faults.
+    /// Delivers `val` to the local images of processors `lo..hi` (one
+    /// bus's broadcast domain, or `0..procs` for a bridge forward),
+    /// subject to the per-image loss and staleness faults.
     ///
     /// With no image faults armed and no deferred update pending
     /// anywhere, every image takes the value unconditionally: the
@@ -1097,49 +781,87 @@ impl<'a> Machine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
+    use crate::machine::{StepMode, Workload};
+    use crate::program::{Instr, Pred, Program};
 
-    #[test]
-    fn every_kind_resolves_to_its_backend() {
-        for kind in FabricKind::ALL {
-            assert_eq!(kind.backend().kind(), kind);
-        }
-        assert!(!FabricKind::Dedicated.backend().shares_data_bus());
-        assert!(FabricKind::Shared.backend().shares_data_bus());
-        assert!(!FabricKind::Ideal.backend().shares_data_bus());
-        // Any clustered geometry resolves to the one stateless backend
-        // (the live geometry is per-machine config, not backend state).
-        let b =
-            FabricKind::Clustered { clusters: 8, bridge_latency: 3, coalesce_window: 0 }.backend();
-        assert!(b.kind().is_clustered());
-        assert!(!b.shares_data_bus());
+    /// Entries actually held anywhere in the transport — what
+    /// `inflight` claims to count.
+    fn entries(s: &SyncState) -> usize {
+        let held = |active: bool| usize::from(active);
+        let buses: usize = s.buses.iter().map(|b| b.queue.len() + held(b.active.is_some())).sum();
+        let bridge = s
+            .bridge
+            .as_ref()
+            .map_or(0, |b| b.window.len() + b.queue.len() + held(b.active.is_some()));
+        buses + bridge
     }
 
     #[test]
-    fn cluster_state_geometry_and_idle_tracking() {
-        let mut s = SyncState::new(8, 2);
-        assert!(s.clusters_idle(), "flat state is trivially idle");
-        s.install_clusters(4, 2, 4);
-        assert!(s.clusters_idle());
-        let cl = s.cluster.as_ref().unwrap();
-        assert_eq!((cl.clusters, cl.cluster_size), (4, 2));
-        assert_eq!(cl.cluster_of(0), 0);
-        assert_eq!(cl.cluster_of(1), 0);
-        assert_eq!(cl.cluster_of(2), 1);
-        assert_eq!(cl.cluster_of(7), 3);
-        assert_eq!(cl.window_min(), u64::MAX);
-        // Growing the variable space grows the bridge-pending lane too.
+    fn every_kind_builds_its_topology_and_drains() {
+        const P: usize = 8;
+        // (kind, buses, bridge, shares the data bus)
+        let table = [
+            (FabricKind::Ideal, 0, false, false),
+            (FabricKind::Dedicated, 1, false, false),
+            (FabricKind::Shared, 1, false, true),
+            (FabricKind::clustered(4), 4, true, false),
+        ];
+        // Every processor bumps a counter, posts a flag and waits for
+        // all the bumps, so each bus (and the bridge) carries traffic.
+        let progs = (0..P)
+            .map(|_| {
+                Program::from_instrs(vec![
+                    Instr::SyncRmw { var: 0 },
+                    Instr::SyncSet { var: 1, val: 1 },
+                    Instr::SyncWait { var: 0, pred: Pred::Geq(P as u64) },
+                ])
+            })
+            .collect();
+        let w = Workload::static_cyclic(progs, P);
+        for (kind, n_buses, bridge, shared) in table {
+            let config = MachineConfig::with_processors(P).fabric(kind);
+            let mut m = Machine::new(&config, &w);
+            let s = &m.sync;
+            assert_eq!(s.buses.len(), n_buses, "{kind}");
+            assert_eq!(s.bridge.is_some(), bridge, "{kind}: bridge iff clustered");
+            assert_eq!(s.bridge_path() > 0, bridge, "{kind}");
+            // The buses partition 0..P in index order.
+            let mut next = 0;
+            for bus in &s.buses {
+                assert_eq!(bus.lo, next, "{kind}");
+                assert!(bus.hi > bus.lo, "{kind}");
+                assert_eq!(bus.shares_data_bus, shared, "{kind}");
+                next = bus.hi;
+            }
+            assert_eq!(next, if n_buses == 0 { 0 } else { P }, "{kind}");
+            assert_eq!(s.horizon(0), Some(u64::MAX), "{kind}: a fresh transport is idle");
+
+            // Step every cycle, checking the counter against the truth.
+            m.set_mode(StepMode::Reference);
+            let mut peak = 0;
+            while !m.finished() {
+                assert!(m.cycle < 10_000, "{kind}: the run must finish");
+                m.step();
+                assert_eq!(m.sync.inflight, entries(&m.sync), "{kind} @ {}", m.cycle);
+                peak = peak.max(m.sync.inflight);
+            }
+            assert_eq!(peak > 0, n_buses > 0, "{kind}: traffic queues iff there is a bus");
+            assert_eq!(m.sync.inflight, 0, "{kind}: the transport must drain");
+            assert_eq!(m.sync.vars.global, vec![P as u64, 1], "{kind}");
+        }
+    }
+
+    #[test]
+    fn growing_the_variable_space_grows_the_bridge_lane() {
+        let mut s = SyncState::new(8, 2, FabricKind::clustered(4));
         s.resize_vars(5);
-        assert_eq!(s.cluster.as_ref().unwrap().bridge_pending.len(), 5);
-        let cl = s.cluster.as_mut().unwrap();
-        cl.window.push_back((3, 17));
-        cl.inflight += 1;
-        assert_eq!(cl.window_min(), 17);
-        assert!(!s.clusters_idle());
+        assert_eq!(s.bridge.as_ref().unwrap().pending.len(), 5);
     }
 
     #[test]
     fn sync_state_starts_quiescent() {
-        let s = SyncState::new(3, 2);
+        let s = SyncState::new(3, 2, FabricKind::Dedicated);
         assert_eq!(s.vars.global, vec![0, 0]);
         assert_eq!(s.n_vars(), 2);
         for p in 0..3 {
@@ -1147,14 +869,15 @@ mod tests {
                 assert_eq!(s.image(p, var), 0);
             }
         }
-        assert!(s.queue.is_empty() && s.active.is_none());
+        assert!(s.buses[0].queue.is_empty() && s.buses[0].active.is_none());
+        assert_eq!(s.inflight, 0);
         assert_eq!(s.due_min, u64::MAX);
         assert_eq!(s.vars.applied_seq, vec![0, 0]);
     }
 
     #[test]
     fn image_lanes_are_var_major_and_resizable() {
-        let mut s = SyncState::new(2, 1);
+        let mut s = SyncState::new(2, 1, FabricKind::Dedicated);
         s.set_image(1, 0, 7);
         assert_eq!((s.image(0, 0), s.image(1, 0)), (0, 7));
         s.resize_vars(3);

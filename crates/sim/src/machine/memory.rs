@@ -194,7 +194,9 @@ impl<'a> Machine<'a> {
             return;
         }
         // One physical bus: an in-flight sync broadcast holds it.
-        if self.fabric.shares_data_bus() && self.sync.active.is_some() {
+        if self.sync.inflight > 0
+            && self.sync.buses.iter().any(|b| b.shares_data_bus && b.active.is_some())
+        {
             return;
         }
         let f = self.config.faults;

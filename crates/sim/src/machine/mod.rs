@@ -12,9 +12,9 @@
 //! module and separately testable:
 //!
 //! * [`fabric`] — the **synchronization fabric**: global sync values,
-//!   per-processor local images, the broadcast queue, and the pluggable
-//!   [`SyncFabric`] transport backend (dedicated bus / shared bus /
-//!   ideal oracle) that carries them;
+//!   per-processor local images, and the topology of broadcast buses
+//!   (none / one / one shared with data / N plus a bridge) that
+//!   carries them;
 //! * `memory` — the **memory system**: data-bus arbitration, interleaved
 //!   banks and the globally-performed effects of data-path requests;
 //! * `dispatch` — the **dispatcher**: self-scheduling or static
@@ -60,7 +60,7 @@
 //! visit of a non-quiet processor or in the channel phases, in the same
 //! order in both modes, so they produce **bit-for-bit identical**
 //! [`RunStats`], [`Trace`], `sync_final` and metrics (enforced by the
-//! equivalence tests) under every fabric backend.
+//! equivalence tests) under every fabric.
 //!
 //! The wake contract. Each processor has a wake deadline in the
 //! [`schedule::Calendar`]; it is a **lower bound** on the processor's
@@ -101,10 +101,9 @@ mod recovery_engine;
 mod schedule;
 mod workload;
 
-pub use fabric::{DedicatedBus, IdealFabric, SharedDataBus, SyncFabric};
 pub use workload::{DispatchMode, Workload};
 
-use crate::config::{FabricKind, MachineConfig, MemoryModel};
+use crate::config::{MachineConfig, MemoryModel};
 use crate::events::{EventRing, SimEventKind};
 use crate::faults::FaultClass;
 use crate::metrics::RunMetrics;
@@ -279,10 +278,8 @@ pub struct Machine<'a> {
     pub(crate) cycle: u64,
     /// Per-processor state, one lane per field (see [`ProcLanes`]).
     pub(crate) procs: ProcLanes,
-    /// The synchronization-fabric backend (stateless; selected by
-    /// `config.sync_fabric`).
-    pub(crate) fabric: &'static dyn SyncFabric,
-    /// Synchronization-transport state (global values, images, queue).
+    /// Synchronization-transport state (global values, images, and the
+    /// bus topology `config.sync_fabric` describes).
     pub(crate) sync: SyncState,
     /// Data-bus arbitration state and the memory banks behind it.
     pub(crate) mem: MemorySystem,
@@ -367,12 +364,9 @@ impl<'a> Machine<'a> {
         // paths by the coalescing window plus the bridge tenure (and a
         // cross-cluster waiter can sit behind a bridge queue that grows
         // with the cluster count).
-        let (n_clusters, bridge_path) = match config.sync_fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
-                (u64::from(clusters.max(1)), u64::from(bridge_latency + coalesce_window))
-            }
-            _ => (1, 0),
-        };
+        let sync = SyncState::new(p, n_vars, config.sync_fabric);
+        let bridge_path = sync.bridge_path();
+        let n_buses = sync.buses.len().max(1) as u64;
         let watchdog_limit = 256
             + 8 * (u64::from(
                 config.spin_retry
@@ -397,17 +391,10 @@ impl<'a> Machine<'a> {
         let nack_delay = 32
             + 4 * (u64::from(config.sync_bus_latency + f.broadcast_delay_max + f.stale_window_max)
                 + bridge_path)
-            + 2 * (n_clusters - 1);
-        let mut sync = SyncState::new(p, n_vars);
-        if let FabricKind::Clustered { clusters, bridge_latency, coalesce_window } =
-            config.sync_fabric
-        {
-            sync.install_clusters(clusters, bridge_latency, coalesce_window);
-        }
+            + 2 * (n_buses - 1);
         Self {
             procs: ProcLanes::new(p, next_stall, fail_at),
             cycle: 0,
-            fabric: config.sync_fabric.backend(),
             sync,
             mem: MemorySystem::new(n_banks),
             cache: CacheSystem::new(&config.cache, p, config.memory_latency),
@@ -619,10 +606,8 @@ impl<'a> Machine<'a> {
         // with no program" — O(1) instead of an O(P) scan per loop turn.
         self.procs.engaged == 0
             && self.mem.active.is_none()
-            && self.sync.active.is_none()
             && self.mem.queue.is_empty()
-            && self.sync.queue.is_empty()
-            && self.sync.clusters_idle()
+            && self.sync.inflight == 0
             && self.cache.pending_count == 0
             && !self.mem.banks_pending()
             && !self.disp.dynamic_left(self.workload)
@@ -646,11 +631,7 @@ impl<'a> Machine<'a> {
             DataReqKind::KeyedAttempt { var, geq } => self.sync.vars.global[var] < geq,
             _ => false,
         };
-        if self.sync.active.is_some()
-            || !self.sync.queue.is_empty()
-            || !self.sync.clusters_idle()
-            || self.sync.due_min != u64::MAX
-        {
+        if self.sync.inflight > 0 || self.sync.due_min != u64::MAX {
             return None;
         }
         // A live Ready/Computing/Blocked processor rules the verdict out
@@ -838,19 +819,17 @@ impl<'a> Machine<'a> {
     }
 
     /// Data-path completions first, then the fabric's broadcast
-    /// completion — the same per-cycle order the monolithic stepper had.
+    /// completions — the same per-cycle order the monolithic stepper had.
     fn complete_transactions(&mut self) {
         self.complete_data();
-        let fabric = self.fabric;
-        fabric.complete(self);
+        self.complete_sync();
     }
 
     /// Data grant first (data traffic has priority on a shared bus),
-    /// then the fabric's broadcast grant.
+    /// then the fabric's broadcast grants.
     fn grant_transactions(&mut self) {
         self.grant_data();
-        let fabric = self.fabric;
-        fabric.grant(self);
+        self.grant_sync();
     }
 
     /// The channel half of the quiet test: `None` when a bus, bank or
@@ -891,46 +870,9 @@ impl<'a> Machine<'a> {
                 return None;
             }
         }
-        // Sync bus.
-        if let Some((_, end)) = self.sync.active {
-            if end <= c {
-                return None;
-            }
-            next = next.min(end);
-        } else if !self.sync.queue.is_empty() {
-            return None;
-        }
-        // Clustered fabric: per-cluster buses, the coalescing window and
-        // the bridge channel are all delivery deadlines FF must honour.
-        // `inflight` gates the walk so flat fabrics (and a drained
-        // clustered one) pay one branch here.
-        if let Some(cl) = self.sync.cluster.as_deref() {
-            if cl.inflight > 0 {
-                for (active, queue) in cl.actives.iter().zip(&cl.queues) {
-                    if let Some((_, end)) = active {
-                        if *end <= c {
-                            return None;
-                        }
-                        next = next.min(*end);
-                    } else if !queue.is_empty() {
-                        return None;
-                    }
-                }
-                let wmin = cl.window_min();
-                if wmin <= c {
-                    return None;
-                }
-                next = next.min(wmin);
-                if let Some((_, end)) = cl.bridge_active {
-                    if end <= c {
-                        return None;
-                    }
-                    next = next.min(end);
-                } else if !cl.bridge_queue.is_empty() {
-                    return None;
-                }
-            }
-        }
+        // Sync buses, the coalescing window and the bridge channel are
+        // all delivery deadlines FF must honour.
+        next = next.min(self.sync.horizon(c)?);
         Some(next)
     }
 

@@ -140,12 +140,11 @@ impl<'a> Machine<'a> {
         self.events.record(self.cycle, SimEventKind::Retransmit { var, val });
         // Pushed directly (never coalesced into) and subject to the same
         // faults as any broadcast — a retransmission can itself be lost.
-        // On the clustered fabric the refresh rides the NACKing
-        // processor's own cluster bus (it heals that cluster's images;
-        // other clusters' gaps raise their own NACKs).
+        // The refresh rides the NACKing processor's own bus (it heals
+        // that bus's images; gaps on other buses raise their own NACKs).
         let mut msg = QueuedSync::new(SyncReq::Post { proc: p, var, val }, seq);
         msg.refresh = true;
-        self.push_sync_for_proc(p, msg);
+        self.sync.enqueue(p, msg);
         self.rec.nack_due[p] = if tries >= NACK_TRIES_MAX {
             u64::MAX // budget spent: silence lets the watchdog escalate
         } else {

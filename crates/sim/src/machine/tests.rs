@@ -818,11 +818,17 @@ fn refresh_never_regresses_a_counter() {
         })
         .collect();
     let w = Workload::static_assigned(progs, (0..n).map(|p| vec![p]).collect());
-    let c = cfg(n)
-        .with_faults(FaultPlan::only(FaultClass::BroadcastLoss, 17, 70))
-        .with_recovery(RecoveryPolicy::RepairOnly);
-    let out = run(&c, &w).unwrap();
-    assert_eq!(out.sync_final[0], n as u64, "every increment must survive recovery");
+    // One refresh rule, every bused topology: a single bus, the bus
+    // shared with data, and two buses behind a bridge.
+    for kind in [FabricKind::Dedicated, FabricKind::Shared, FabricKind::clustered(2)] {
+        let c = cfg(n)
+            .fabric(kind)
+            .with_faults(FaultPlan::only(FaultClass::BroadcastLoss, 17, 70))
+            .with_recovery(RecoveryPolicy::RepairOnly);
+        let out = run(&c, &w).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        assert_eq!(out.sync_final[0], n as u64, "{kind}: every increment must survive recovery");
+        assert!(out.stats.recovery.retransmits > 0, "{kind}: waiters must NACK");
+    }
 }
 
 // ---- fail-stop survival: reclamation, reissue, reconfiguration ----

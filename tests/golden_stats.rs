@@ -1,7 +1,7 @@
 //! Golden-stat regression pins: one fault-free and one chaos-seeded run
 //! per scheme, captured on the pre-refactor monolithic `Machine` and
 //! asserted bit-identical ever since. These numbers are the contract the
-//! `machine/` decomposition (and the `DedicatedBus` fabric default) must
+//! `machine/` decomposition (and the dedicated-bus fabric default) must
 //! reproduce exactly — any drift here means the refactor changed
 //! simulated behaviour, not just code layout.
 //!

@@ -39,6 +39,17 @@ fn run(cell: &CompiledLoop, config: &MachineConfig, mode: StepMode) -> RunOutcom
     })
 }
 
+/// What a cell runs under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plan {
+    /// No faults: the conservation identities are exact.
+    Clean,
+    /// Stalls, lost image updates and fail-stops: the recovery ladder.
+    Ladder,
+    /// Reordered, dropped and delayed broadcasts: the bus fault branches.
+    Queue,
+}
+
 #[test]
 fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
     let ladder = FaultPlan {
@@ -74,22 +85,21 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
     ];
     for fabric in fabrics {
         for (dispatch, cell) in &cells {
-            for (plan_name, plan) in
-                [("clean", None), ("ladder", Some(ladder)), ("queue", Some(queue))]
-            {
-                if plan_name == "queue" && fabric == FabricKind::Ideal {
+            for plan in [Plan::Clean, Plan::Ladder, Plan::Queue] {
+                if plan == Plan::Queue && fabric == FabricKind::Ideal {
                     continue; // no bus, so nothing to reorder, drop or delay
                 }
-                let what = format!("{fabric} {dispatch} {plan_name}");
-                let mut config = MachineConfig::with_processors(PROCS).fabric(fabric);
-                if let Some(plan) = plan {
-                    config = config.with_faults(plan).with_recovery(RecoveryPolicy::Full);
-                }
-                if plan_name == "queue" {
+                let what = format!("{fabric} {dispatch} {plan:?}");
+                let config = MachineConfig::with_processors(PROCS).fabric(fabric);
+                let config = match plan {
+                    Plan::Clean => config,
+                    Plan::Ladder => config.with_faults(ladder).with_recovery(RecoveryPolicy::Full),
                     // A slow bus, so broadcasts queue up behind each
                     // other and the arbiter has something to reorder.
-                    config.sync_bus_latency = 32;
-                }
+                    Plan::Queue => MachineConfig { sync_bus_latency: 32, ..config }
+                        .with_faults(queue)
+                        .with_recovery(RecoveryPolicy::Full),
+                };
                 let fast = run(cell, &config, StepMode::FastForward);
                 let slow = run(cell, &config, StepMode::Reference);
                 assert_eq!(fast.stats, slow.stats, "{what}: stats diverged");
@@ -102,8 +112,8 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
                     assert_eq!(b.total(), s.makespan, "{what}: processor {p} {b:?}");
                 }
                 let f = &s.faults;
-                match plan_name {
-                    "clean" => {
+                match plan {
+                    Plan::Clean => {
                         assert_eq!(
                             s.sync_ops_issued,
                             s.sync_broadcasts + s.coalesced_writes,
@@ -121,14 +131,14 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
                             assert_eq!(fast.metrics.bridge_busy, 0, "{what}");
                         }
                     }
-                    "ladder" => {
+                    Plan::Ladder => {
                         assert!(
                             f.stalls > 0 && f.fail_stops > 0,
                             "{what}: faults must fire: {f:?}"
                         );
                         assert!(s.procs.iter().any(|b| b.dead > 0), "{what}");
                     }
-                    _ => assert!(
+                    Plan::Queue => assert!(
                         f.reordered_broadcasts > 0
                             && f.dropped_broadcasts > 0
                             && f.delayed_broadcasts > 0,
