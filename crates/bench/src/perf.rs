@@ -340,8 +340,9 @@ pub fn run(quick: bool) -> PerfReport {
 /// hardware).
 #[derive(Debug, Clone)]
 pub struct PerfCheck {
-    /// The gate: processor visits per simulator operation must not grow
-    /// with the machine. Deterministic, so it gates exactly.
+    /// The gate: processor visits per simulator operation and image
+    /// words per broadcast must not grow with the machine.
+    /// Deterministic, so it gates exactly.
     pub gate: VisitGate,
     /// `fast_cycles_per_sec` from the baseline JSON.
     pub baseline_cycles_per_sec: f64,
@@ -564,11 +565,19 @@ mod tests {
         assert!(check("not json at all", true).is_err());
 
         // A kernel whose event cost grows with P fails it.
-        let mut bad = ok;
+        let mut bad = ok.clone();
         bad.gate.rows[0].large = bad.gate.rows[0].small * 16.0;
         assert!(!bad.pass(), "{}", bad.summary());
         assert!(bad.summary().contains("REGRESSION"), "{}", bad.summary());
         assert!(bad.summary().contains("P-DEPENDENT"), "{}", bad.summary());
+
+        // So does one whose broadcasts write more image words on the
+        // bigger machine; virtual images write exactly one.
+        assert_eq!(ok.gate.hotspot_words, (1.0, 1.0), "{}", ok.summary());
+        let mut dense = ok;
+        dense.gate.hotspot_words.1 = 128.0;
+        assert!(!dense.pass(), "{}", dense.summary());
+        assert!(dense.summary().contains("P-DEPENDENT"), "{}", dense.summary());
     }
 
     #[test]

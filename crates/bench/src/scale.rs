@@ -14,7 +14,7 @@
 //! processor RMWs one counter each round, then waits for the round
 //! total — pure sync-transport traffic, no data accesses) run on the
 //! flat dedicated bus and on the clustered two-level fabric with
-//! `max(2, P/32)` clusters, out to P = 4096. The flat bus serializes
+//! `max(2, P/32)` clusters, out to P = 65 536. The flat bus serializes
 //! all P updates per round, so its makespan grows linearly in P; the
 //! clustered fabric grants cluster buses in parallel and aggregates
 //! same-variable submissions at the bridge, holding the round cost
@@ -54,6 +54,28 @@ pub struct ScalePoint {
     /// an event, flat in P when the kernel only visits processors that
     /// act.
     pub visits_per_op: f64,
+    /// Local-image words the run wrote ([`KernelCounters::image_words`]).
+    pub image_words: u64,
+    /// Image words per broadcast
+    /// ([`KernelCounters::words_per_broadcast`]): 1 on a fault-free flat
+    /// bus whatever P is, at most `clusters` per bridge forward.
+    pub words_per_broadcast: f64,
+}
+
+impl ScalePoint {
+    /// The point for one run that took `wall_seconds` on this host.
+    fn of(out: &RunOutcome, procs: usize, clusters: u32, wall_seconds: f64) -> Self {
+        Self {
+            procs,
+            clusters,
+            makespan: out.stats.makespan,
+            wall_seconds,
+            cycles_per_sec: out.stats.makespan as f64 / wall_seconds,
+            visits_per_op: out.kernel.visits_per_op(&out.stats),
+            image_words: out.kernel.image_words,
+            words_per_broadcast: out.kernel.words_per_broadcast(&out.stats),
+        }
+    }
 }
 
 /// The scaling curve of one scheme across the P axis.
@@ -97,13 +119,16 @@ impl ScaleReport {
                 out.push_str(&format!(
                     "      {{\"procs\": {}, \"clusters\": {}, \"makespan\": {}, \
                      \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \
-                     \"visits_per_op\": {:.3}}}{}\n",
+                     \"visits_per_op\": {:.3}, \"image_words\": {}, \
+                     \"words_per_broadcast\": {:.3}}}{}\n",
                     pt.procs,
                     pt.clusters,
                     pt.makespan,
                     pt.wall_seconds,
                     pt.cycles_per_sec,
                     pt.visits_per_op,
+                    pt.image_words,
+                    pt.words_per_broadcast,
                     if j + 1 < curve.points.len() { "," } else { "" }
                 ));
             }
@@ -157,7 +182,7 @@ impl ScaleReport {
                 out.push_str(&format!(" {:>12}", format!("P={}", pt.procs)));
             }
             out.push('\n');
-            for curve in ablation {
+            for curve in &ablation {
                 out.push_str(&format!("{:<16}", curve.fabric));
                 for pt in &curve.points {
                     let geom = if pt.clusters > 0 {
@@ -166,6 +191,14 @@ impl ScaleReport {
                         pt.makespan.to_string()
                     };
                     out.push_str(&format!(" {geom:>12}"));
+                }
+                out.push('\n');
+            }
+            out.push_str("\nbarrier hot-spot image words written per broadcast\n");
+            for curve in &ablation {
+                out.push_str(&format!("{:<16}", curve.fabric));
+                for pt in &curve.points {
+                    out.push_str(&format!(" {:>12.2}", pt.words_per_broadcast));
                 }
                 out.push('\n');
             }
@@ -202,6 +235,9 @@ pub const SCHEMES: [&str; 5] = ["process", "statement", "barrier-phased", "refer
 
 /// Label of the fabric-ablation curves (one per fabric).
 pub const HOTSPOT_SCHEME: &str = "barrier-hotspot";
+
+/// The fabric ablation's P axis (`--quick` stops at 32).
+const HOTSPOT_PROCS: [usize; 10] = [8, 32, 128, 256, 512, 1024, 2048, 4096, 16_384, 65_536];
 
 /// Hot-spot rounds per processor in the fabric ablation.
 const HOTSPOT_ROUNDS: u64 = 4;
@@ -274,9 +310,10 @@ pub struct VisitRow {
     pub large: f64,
 }
 
-/// The host-independent gate behind `datasync perf --check`: processor
-/// visits per simulator operation must not grow with the machine
-/// ([`KernelCounters::p_independent`]). Deterministic — the same
+/// The host-independent gate behind `datasync perf --check`: neither
+/// processor visits per simulator operation
+/// ([`KernelCounters::p_independent`]) nor image words written per
+/// broadcast may grow with the machine. Deterministic — the same
 /// numbers on every host.
 #[derive(Debug, Clone)]
 pub struct VisitGate {
@@ -284,12 +321,21 @@ pub struct VisitGate {
     pub procs: (usize, usize),
     /// One row per workload.
     pub rows: Vec<VisitRow>,
+    /// [`KernelCounters::words_per_broadcast`] of the flat hot-spot on
+    /// the (small, large) machine: 1 and 1 while images are virtual.
+    pub hotspot_words: (f64, f64),
 }
 
 impl VisitGate {
-    /// Whether every workload's event cost is P-independent.
+    /// Whether every workload's event cost is P-independent and a flat
+    /// broadcast writes no more image words on the large machine.
     pub fn pass(&self) -> bool {
         self.rows.iter().all(|r| KernelCounters::p_independent(r.small, r.large))
+            && self.words_pass()
+    }
+
+    fn words_pass(&self) -> bool {
+        self.hotspot_words.1 <= self.hotspot_words.0
     }
 
     /// One line per workload plus the verdict.
@@ -310,6 +356,14 @@ impl VisitGate {
                 if KernelCounters::p_independent(r.small, r.large) { "ok" } else { "P-DEPENDENT" },
             ));
         }
+        out.push_str(&format!(
+            "image words written per broadcast (gate: P={large} <= P={small})\n  \
+             {:<24} {:>7.3} -> {:>7.3}  {}\n",
+            format!("{HOTSPOT_SCHEME} (flat)"),
+            self.hotspot_words.0,
+            self.hotspot_words.1,
+            if self.words_pass() { "ok" } else { "P-DEPENDENT" },
+        ));
         out.push_str(if self.pass() { "=> ok" } else { "=> REGRESSION" });
         out
     }
@@ -325,10 +379,14 @@ impl VisitGate {
 pub fn visit_gate(quick: bool) -> VisitGate {
     let (small, large, cost) = if quick { (16, 128, 200) } else { (64, 1024, 2_000) };
     let ratio = |out: RunOutcome| out.kernel.visits_per_op(&out.stats);
+    let words = |out: &RunOutcome| out.kernel.words_per_broadcast(&out.stats);
+    let hotspot_small = hotspot_run(small, FabricKind::Dedicated);
+    let hotspot_large = hotspot_run(large, FabricKind::Dedicated);
+    let hotspot_words = (words(&hotspot_small), words(&hotspot_large));
     let mut rows = vec![VisitRow {
         workload: format!("{HOTSPOT_SCHEME} (flat)"),
-        small: ratio(hotspot_run(small, FabricKind::Dedicated)),
-        large: ratio(hotspot_run(large, FabricKind::Dedicated)),
+        small: ratio(hotspot_small),
+        large: ratio(hotspot_large),
     }];
     for scheme in ["process", "statement"] {
         rows.push(VisitRow {
@@ -337,12 +395,12 @@ pub fn visit_gate(quick: bool) -> VisitGate {
             large: ratio(scheme_run(scheme, large, cost)),
         });
     }
-    VisitGate { procs: (small, large), rows }
+    VisitGate { procs: (small, large), rows, hotspot_words }
 }
 
 /// Runs the scaling sweep. `quick` caps the P axis and shrinks costs for
 /// smoke runs; the full axis is P = 8 → 1024 for the scheme curves and
-/// P = 8 → 4096 for the fabric ablation.
+/// P = 8 → 65 536 for the fabric ablation.
 ///
 /// # Panics
 ///
@@ -364,27 +422,17 @@ pub fn run(quick: bool) -> ScaleReport {
         for curve in &mut curves {
             let (compiled, config) = scheme_cell(&curve.scheme, p, cost);
             let out = compiled.run(&config).expect("scale workload must complete");
-            let makespan = out.stats.makespan;
-            let visits_per_op = out.kernel.visits_per_op(&out.stats);
             let wall_seconds = time_runs(|| {
                 let _ = compiled.run(&config).expect("scale workload must complete");
             });
-            curve.points.push(ScalePoint {
-                procs: p,
-                clusters: 0,
-                makespan,
-                wall_seconds,
-                cycles_per_sec: makespan as f64 / wall_seconds,
-                visits_per_op,
-            });
+            curve.points.push(ScalePoint::of(&out, p, 0, wall_seconds));
         }
     }
     // Fabric ablation: the same hot-spot workload on the flat dedicated
     // bus and on the clustered two-level fabric, out past the scheme
     // curves' axis — the flat bus's linear-in-P round cost against the
     // clustered fabric's near-constant one.
-    let ablation_procs: Vec<usize> =
-        if quick { vec![8, 16, 32] } else { vec![8, 32, 128, 256, 512, 1024, 2048, 4096] };
+    let ablation_procs: Vec<usize> = if quick { vec![8, 16, 32] } else { HOTSPOT_PROCS.to_vec() };
     let mut flat_curve = SchemeCurve {
         scheme: HOTSPOT_SCHEME.to_string(),
         fabric: "dedicated".to_string(),
@@ -409,18 +457,10 @@ pub fn run(quick: bool) -> ScaleReport {
             ),
         ] {
             let out = hotspot_run(p, fabric);
-            let makespan = out.stats.makespan;
             let wall_seconds = time_runs(|| {
                 let _ = hotspot_run(p, fabric);
             });
-            curve.points.push(ScalePoint {
-                procs: p,
-                clusters,
-                makespan,
-                wall_seconds,
-                cycles_per_sec: makespan as f64 / wall_seconds,
-                visits_per_op: out.kernel.visits_per_op(&out.stats),
-            });
+            curve.points.push(ScalePoint::of(&out, p, clusters, wall_seconds));
         }
     }
     curves.push(flat_curve);
@@ -462,9 +502,14 @@ mod tests {
             }
         }
         let json = r.to_json();
-        for key in
-            ["\"workload\"", "\"procs\"", "\"schemes\"", "\"cycles_per_sec\"", "\"clusters\""]
-        {
+        for key in [
+            "\"workload\"",
+            "\"procs\"",
+            "\"schemes\"",
+            "\"cycles_per_sec\"",
+            "\"clusters\"",
+            "\"image_words\"",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"scheme\": \"barrier-phased\""), "{json}");
@@ -483,6 +528,7 @@ mod tests {
         let gate = visit_gate(false);
         assert_eq!(gate.procs, (64, 1024));
         assert_eq!(gate.rows.len(), 3, "{}", gate.summary());
+        assert_eq!(gate.hotspot_words, (1.0, 1.0), "{}", gate.summary());
         assert!(gate.pass(), "{}", gate.summary());
     }
 

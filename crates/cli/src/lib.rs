@@ -71,10 +71,12 @@ USAGE:
       and parallel vs serial sweep throughput; writes BENCH_sim.json.
       --scale instead sweeps every scheme across P = 8 → 1024 processors
       plus a barrier hot-spot ablation of the flat vs clustered fabrics
-      out to P = 4096, and writes the curves (with processor visits per
-      sim op at every point) to BENCH_scale.json. --check is the CI perf
-      gate: it exits 9 when processor visits per sim op at P = 1024 exceed
-      2x the P = 64 figure or 8 (hot-spot, two schemes; deterministic),
+      out to P = 65536, and writes the curves (with processor visits per
+      sim op and image words per broadcast at every point) to
+      BENCH_scale.json. --check is the CI perf gate: it exits 9 when
+      processor visits per sim op at P = 1024 exceed 2x the P = 64 figure
+      or 8 (hot-spot, two schemes), or when a flat hot-spot broadcast
+      writes more image words at P = 1024 than at P = 64 (deterministic),
       and reports wall-clock throughput against the committed baseline
       (--baseline, default BENCH_sim.json) without gating on it.
   datasync trace      [--loop L] [--n N] [--m M] [--scheme S] [--procs P]
@@ -140,7 +142,8 @@ pub enum ExitCode {
     /// fail-stopped processor onto the survivor quorum.
     Reconfigured,
     /// `9` — the gating perf check found a regression: the kernel's
-    /// processor visits per sim op grow with the machine.
+    /// processor visits per sim op, or the image words a broadcast
+    /// writes, grow with the machine.
     PerfRegression,
     /// `10` — the sweep service failed at runtime (bind, journal I/O,
     /// or the accept loop), as opposed to `2` for bad serve arguments.

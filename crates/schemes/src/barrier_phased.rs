@@ -84,13 +84,14 @@ impl Scheme for BarrierPhased {
         for (phase_ix, (comp, recurrent)) in phases.iter().enumerate() {
             for (p, assigned) in assignment.iter_mut().enumerate() {
                 let mut prog = Program::new();
-                for pid in 0..n {
-                    // A recurrent phase runs entirely on processor 0; a
-                    // parallel phase splits iterations round-robin.
-                    let mine = if *recurrent { p == 0 } else { pid % procs as u64 == p as u64 };
-                    if !mine {
-                        continue;
-                    }
+                // A recurrent phase runs entirely on processor 0; a
+                // parallel phase splits iterations round-robin.
+                let mine = match (*recurrent, p) {
+                    (false, _) => (p as u64..n).step_by(procs),
+                    (true, 0) => (0..n).step_by(1),
+                    (true, _) => (0..0).step_by(1),
+                };
+                for pid in mine {
                     let indices = space.indices(pid);
                     for stmt in nest.executed_stmts(pid) {
                         if !comp.contains(&stmt.id) {

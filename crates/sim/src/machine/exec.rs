@@ -89,7 +89,7 @@ impl<'a> Machine<'a> {
                     return
                 }
                 ProcState::SpinLocal { var, pred } => {
-                    if pred.eval(self.sync.image(p, var)) {
+                    if pred.eval(self.sync.images.get(p, var)) {
                         self.close_wait(p);
                         // The successful check still costs this cycle:
                         // the processor is ready from the next one.
@@ -213,7 +213,7 @@ impl<'a> Machine<'a> {
             Instr::SyncWait { var, pred } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
                     self.metrics.sync_vars[var].waits += 1;
-                    if !pred.eval(self.sync.image(p, var)) {
+                    if !pred.eval(self.sync.images.get(p, var)) {
                         self.begin_wait(p, var, false);
                         self.procs.set_state(p, ProcState::SpinLocal { var, pred }, self.cycle);
                     }
@@ -232,7 +232,7 @@ impl<'a> Machine<'a> {
             },
             Instr::SyncSetIfGeq { var, guard, val } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
-                    if self.sync.image(p, var) >= guard {
+                    if self.sync.images.get(p, var) >= guard {
                         self.post(p, var, val);
                     }
                 }
@@ -247,7 +247,7 @@ impl<'a> Machine<'a> {
             },
             Instr::KeyedAccess { var, geq } => match self.config.sync_transport {
                 SyncTransport::DedicatedBus => {
-                    if self.sync.image(p, var) >= geq {
+                    if self.sync.images.get(p, var) >= geq {
                         self.metrics.sync_vars[var].rmws += 1;
                         if !self.enqueue_rmw(p, var) {
                             self.procs.set_state(p, ProcState::BlockedSync, self.cycle);

@@ -52,6 +52,7 @@
 //! loss/stale faults apply to bus and bridge deliveries alike, so the
 //! recovery ladder is exercised across the bridge too.
 
+use super::images::Images;
 use super::Machine;
 use crate::config::FabricKind;
 use crate::events::SimEventKind;
@@ -157,23 +158,27 @@ pub(crate) struct Bridge {
 /// deferred-image and sequence-tag machinery faults and recovery hang
 /// off. Owned by the machine.
 ///
-/// Local images live in one flat **var-major** block
-/// (`images[var * procs + p]`), so a broadcast delivery to a bus's
-/// consumers is one contiguous lane fill instead of strided stores —
-/// see [`Machine::deliver_images`].
+/// Local images are *virtual* ([`Images`]): one word per (variable,
+/// bus domain), because every delivery reaches a whole domain. The
+/// image of `(p, v)` is its domain's word unless `(p, v)` diverged, and
+/// divergence only arises on three paths — a lost or stale per-image
+/// delivery ([`Machine::deliver_images`]'s faulted walk), a deferred
+/// update applied late ([`Machine::apply_deferred_images`]) and the
+/// recovery flush of deferred updates — until the watchdog repair
+/// clears it. A fault-free broadcast therefore writes one word per
+/// domain it reaches, independent of P.
 #[derive(Debug)]
 pub(crate) struct SyncState {
     /// Per-variable lanes (global values, applied sequence tags).
     pub(crate) vars: VarLanes,
-    /// Flat var-major per-processor local images.
-    images: Vec<u64>,
-    /// Processor count (the images' minor stride).
+    /// Every processor's local image of every variable, one broadcast
+    /// domain per bus (a single one on the bus-less ideal fabric).
+    pub(crate) images: Images,
+    /// Processor count.
     procs: usize,
     /// The broadcast buses, partitioning `0..procs` in index order
     /// (none on the ideal fabric).
     pub(crate) buses: Vec<SyncBus>,
-    /// Processors per bus.
-    bus_span: usize,
     /// The bridge joining the buses, iff there is more than one level.
     pub(crate) bridge: Option<Bridge>,
     /// Total entries across every bus queue and tenure and every bridge
@@ -188,7 +193,7 @@ pub(crate) struct SyncState {
     /// they were performed globally, just late.
     pub(crate) defer: Vec<VecDeque<(u64, SyncVar, u64)>>,
     /// Total entries across all `defer` queues; 0 lets
-    /// [`Machine::deliver_images`] take the batched lane-fill path.
+    /// [`Machine::deliver_images`] take the batched domain-fill path.
     defer_len: usize,
     /// Earliest due cycle across all `defer` queues (`u64::MAX` when
     /// every queue is empty), so quiescent processors cost nothing in
@@ -227,10 +232,9 @@ impl SyncState {
         };
         Self {
             vars: VarLanes { global: vec![0; n_vars], applied_seq: vec![0; n_vars] }, // alloc-ok: setup
-            images: vec![0; n_vars * p], // alloc-ok: setup
+            images: Images::new(p, n_vars, n_buses.max(1)),
             procs: p,
             buses: (0..n_buses).map(bus).collect(), // alloc-ok: setup
-            bus_span,
             bridge,
             inflight: 0,
             seq: 0,
@@ -243,7 +247,7 @@ impl SyncState {
     /// The bus whose broadcast domain contains processor `p`.
     #[inline]
     fn bus_of(&mut self, p: usize) -> &mut SyncBus {
-        &mut self.buses[p / self.bus_span]
+        &mut self.buses[p / self.images.span()]
     }
 
     /// Queues `msg` on processor `p`'s bus as it is (no coalescing).
@@ -298,29 +302,11 @@ impl SyncState {
         self.vars.global.len()
     }
 
-    /// Processor `p`'s local image of `var`.
-    #[inline]
-    pub(crate) fn image(&self, p: usize, var: SyncVar) -> u64 {
-        self.images[var * self.procs + p]
-    }
-
-    #[inline]
-    pub(crate) fn set_image(&mut self, p: usize, var: SyncVar, val: u64) {
-        self.images[var * self.procs + p] = val;
-    }
-
-    /// All P images of `var` as one contiguous lane.
-    #[inline]
-    pub(crate) fn var_images_mut(&mut self, var: SyncVar) -> &mut [u64] {
-        let p = self.procs;
-        &mut self.images[var * p..(var + 1) * p]
-    }
-
-    /// Grows the per-variable lanes (and the image block) to `n` vars.
+    /// Grows the per-variable lanes (and the image store) to `n` vars.
     pub(crate) fn resize_vars(&mut self, n: usize) {
         self.vars.global.resize(n, 0); // alloc-ok: setup
         self.vars.applied_seq.resize(n, 0); // alloc-ok: setup
-        self.images.resize(n * self.procs, 0); // alloc-ok: setup
+        self.images.resize_vars(n);
         if let Some(bridge) = &mut self.bridge {
             bridge.pending.resize(n, false); // alloc-ok: setup
         }
@@ -695,9 +681,9 @@ impl<'a> Machine<'a> {
     ///
     /// With no image faults armed and no deferred update pending
     /// anywhere, every image takes the value unconditionally: the
-    /// delivery is one batched fill of the variable's contiguous image
-    /// lane, and the fault stream is untouched (the faulted path draws
-    /// zero RNG under the same conditions, so the two are bit-identical).
+    /// delivery is one word per domain in `lo..hi`, and the fault stream
+    /// is untouched (the faulted path draws zero RNG under the same
+    /// conditions, so the two are bit-identical).
     pub(crate) fn deliver_images(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
         let f = self.config.faults;
         if f.broadcast_loss_pct == 0 && f.stale_image_pct == 0 && self.sync.defer_len == 0 {
@@ -707,47 +693,52 @@ impl<'a> Machine<'a> {
         self.deliver_images_faulted(var, val, lo, hi);
     }
 
-    /// The batched delivery: one fill of the variable's image lane,
-    /// then a wake of exactly the local spinners in `lo..hi` the value
-    /// satisfies — O(1) while it is below every waiter's bound (a
-    /// barrier count still climbing), a walk of the variable's waiters
-    /// otherwise.
+    /// The batched delivery: one word per domain of `lo..hi`, then a
+    /// wake of exactly the local spinners there the value satisfies —
+    /// O(1) while it is below every waiter's bound (a barrier count
+    /// still climbing), a walk of the variable's waiters otherwise.
     fn deliver_unfaulted(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
-        self.sync.var_images_mut(var)[lo..hi].fill(val);
+        self.sync.images.fill(var, val, lo, hi);
         self.kernel.waiter_walks += u64::from(self.procs.wake_waiters(var, val, lo, hi));
     }
 
     /// The per-processor delivery walk for runs with image faults armed
-    /// or deferred updates in flight. Not `#[cold]`: chaos sweeps live
-    /// here.
+    /// or deferred updates in flight: any processor may end up differing
+    /// from its neighbours, so each domain's row is materialised once up
+    /// front and written by index. Not `#[cold]`: chaos sweeps live here.
     fn deliver_images_faulted(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
         let f = self.config.faults;
-        for p in lo..hi {
-            if f.broadcast_loss_pct > 0 && self.rng.chance_pct(f.broadcast_loss_pct) {
-                // The write performed globally but this processor's image
-                // tap missed it *permanently* — the one unbounded fault.
-                // Only the recovery ladder (NACK refresh or watchdog
-                // repair) can re-deliver the value to this image.
-                self.stats.faults.lost_image_updates += 1;
-                self.record_fault(Some(p), FaultClass::BroadcastLoss, 0);
-                continue;
-            }
-            let pending = self.sync.defer[p].back().map(|&(when, _, _)| when);
-            if f.stale_image_pct > 0 && self.rng.chance_pct(f.stale_image_pct) {
-                // This image lags the global write by a bounded window.
-                let window = u64::from(self.rng.range_u32(1, f.stale_window_max));
-                let when = (self.cycle + window).max(pending.unwrap_or(0));
-                self.stats.faults.stale_image_updates += 1;
-                self.record_fault(Some(p), FaultClass::StaleImage, window);
-                self.sync.push_defer(p, when, var, val);
-            } else if let Some(pending) = pending {
-                // A fresh update must not overtake an older deferred one:
-                // queue behind it so each image sees writes in global
-                // order, merely late.
-                self.sync.push_defer(p, pending, var, val);
-            } else {
-                self.sync.set_image(p, var, val);
-                self.procs.wake_if_satisfied(p, var, val);
+        let span = self.sync.images.span();
+        for domain in (lo..hi).step_by(span) {
+            let row = self.sync.images.diverge(var, domain);
+            for p in domain..domain + span {
+                if f.broadcast_loss_pct > 0 && self.rng.chance_pct(f.broadcast_loss_pct) {
+                    // The write performed globally but this processor's
+                    // image tap missed it *permanently* — the one
+                    // unbounded fault. Only the recovery ladder (NACK
+                    // refresh or watchdog repair) can re-deliver the value
+                    // to this image.
+                    self.stats.faults.lost_image_updates += 1;
+                    self.record_fault(Some(p), FaultClass::BroadcastLoss, 0);
+                    continue;
+                }
+                let pending = self.sync.defer[p].back().map(|&(when, _, _)| when);
+                if f.stale_image_pct > 0 && self.rng.chance_pct(f.stale_image_pct) {
+                    // This image lags the global write by a bounded window.
+                    let window = u64::from(self.rng.range_u32(1, f.stale_window_max));
+                    let when = (self.cycle + window).max(pending.unwrap_or(0));
+                    self.stats.faults.stale_image_updates += 1;
+                    self.record_fault(Some(p), FaultClass::StaleImage, window);
+                    self.sync.push_defer(p, when, var, val);
+                } else if let Some(pending) = pending {
+                    // A fresh update must not overtake an older deferred
+                    // one: queue behind it so each image sees writes in
+                    // global order, merely late.
+                    self.sync.push_defer(p, pending, var, val);
+                } else {
+                    self.sync.images.put(row + (p - domain), val);
+                    self.procs.wake_if_satisfied(p, var, val);
+                }
             }
         }
     }
@@ -766,7 +757,7 @@ impl<'a> Machine<'a> {
                     break;
                 }
                 self.sync.pop_defer(p);
-                self.sync.set_image(p, var, val);
+                self.sync.images.set(p, var, val);
                 self.procs.wake_if_satisfied(p, var, val);
                 self.note_progress();
             }
@@ -866,26 +857,12 @@ mod tests {
         assert_eq!(s.n_vars(), 2);
         for p in 0..3 {
             for var in 0..2 {
-                assert_eq!(s.image(p, var), 0);
+                assert_eq!(s.images.get(p, var), 0);
             }
         }
         assert!(s.buses[0].queue.is_empty() && s.buses[0].active.is_none());
         assert_eq!(s.inflight, 0);
         assert_eq!(s.due_min, u64::MAX);
         assert_eq!(s.vars.applied_seq, vec![0, 0]);
-    }
-
-    #[test]
-    fn image_lanes_are_var_major_and_resizable() {
-        let mut s = SyncState::new(2, 1, FabricKind::Dedicated);
-        s.set_image(1, 0, 7);
-        assert_eq!((s.image(0, 0), s.image(1, 0)), (0, 7));
-        s.resize_vars(3);
-        assert_eq!(s.n_vars(), 3);
-        // Existing images survive the resize; new vars start zeroed.
-        assert_eq!((s.image(0, 0), s.image(1, 0)), (0, 7));
-        s.var_images_mut(2).fill(9);
-        assert_eq!((s.image(0, 2), s.image(1, 2)), (9, 9));
-        assert_eq!((s.image(0, 1), s.image(1, 1)), (0, 0));
     }
 }

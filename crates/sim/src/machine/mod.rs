@@ -24,6 +24,9 @@
 //!   per-processor wait-episode bookkeeping it hangs off;
 //! * `exec` — the per-processor execution step that drives all of the
 //!   above through one instruction at a time;
+//! * `images` — every processor's local image of every sync variable,
+//!   stored as one word per (variable, bus domain) plus rows for the
+//!   domains a fault has made diverge;
 //! * `lanes` — per-processor state in struct-of-arrays lanes, with the
 //!   lazy cycle accounting and population counters its writes maintain;
 //! * `schedule` — the **event schedule**: a calendar (bucket) queue over
@@ -34,9 +37,9 @@
 //!
 //! Data layout is struct-of-arrays: per-processor state lives in
 //! [`ProcLanes`] (one lane per field, not a `Vec` of processor structs)
-//! and per-variable sync state in [`fabric::VarLanes`] plus one flat
-//! var-major image block, so the hot loops walk contiguous memory and a
-//! broadcast delivery to P consumers is one batched lane fill.
+//! and per-variable sync state in [`fabric::VarLanes`], so the hot loops
+//! walk contiguous memory; local images are stored per bus domain
+//! (`images`), so a broadcast delivery to P consumers is one word.
 //!
 //! Determinism: processors are stepped in id order and bus queues are
 //! FIFO, so a run is a pure function of the configuration and workload.
@@ -95,6 +98,7 @@ mod cache;
 mod dispatch;
 mod exec;
 pub mod fabric;
+mod images;
 mod lanes;
 mod memory;
 mod recovery_engine;
@@ -199,6 +203,10 @@ pub struct KernelCounters {
     pub waiter_walks: u64,
     /// Spans charged to a [`ProcBreakdown`] bucket by lazy accounting.
     pub accounting_flushes: u64,
+    /// Local-image words written by deliveries and presets: one per bus
+    /// domain a broadcast reaches, plus one per processor on the faulted
+    /// per-image paths (and the row those paths materialise).
+    pub image_words: u64,
 }
 
 impl KernelCounters {
@@ -223,6 +231,16 @@ impl KernelCounters {
     pub fn visits_per_op(&self, stats: &RunStats) -> f64 {
         let ops = stats.dispatched + stats.sync_ops_issued + stats.data_transactions;
         self.procs_visited as f64 / ops.max(1) as f64
+    }
+
+    /// Image words written per broadcast (bus broadcasts plus bridge
+    /// forwards): exactly 1 on a fault-free flat bus whatever P is, and
+    /// at most `clusters` per bridge forward, because images are stored
+    /// per bus domain. Not meaningful under the shared-memory transport,
+    /// whose sync writes are data transactions, not broadcasts.
+    pub fn words_per_broadcast(&self, stats: &RunStats) -> f64 {
+        let broadcasts = stats.sync_broadcasts + stats.bridge_broadcasts;
+        self.image_words as f64 / broadcasts.max(1) as f64
     }
 }
 
@@ -457,7 +475,7 @@ impl<'a> Machine<'a> {
             self.metrics.sync_vars.resize(var + 1, Default::default());
         }
         self.sync.vars.global[var] = val;
-        self.sync.var_images_mut(var).fill(val);
+        self.sync.images.fill(var, val, 0, self.config.processors);
     }
 
     /// Runs to completion.
@@ -475,6 +493,7 @@ impl<'a> Machine<'a> {
                 self.procs.flush_all(self.cycle);
                 stats.procs.copy_from_slice(&self.procs.stats);
                 self.kernel.accounting_flushes = self.procs.flushes;
+                self.kernel.image_words = self.sync.images.words_written;
                 return Ok(RunOutcome {
                     stats,
                     trace: std::mem::take(&mut self.trace),
@@ -584,7 +603,7 @@ impl<'a> Machine<'a> {
                         ProcState::SpinLocal { var, pred } => {
                             format!(
                                 "waiting {var} {pred} (image {}, global {})",
-                                self.sync.image(i, var),
+                                self.sync.images.get(i, var),
                                 self.sync.vars.global[var]
                             )
                         }
@@ -671,7 +690,7 @@ impl<'a> Machine<'a> {
                 // A spin whose condition already holds will succeed on its
                 // next check — that is progress, not deadlock.
                 ProcState::SpinLocal { var, pred } => {
-                    if pred.eval(self.sync.image(i, var)) {
+                    if pred.eval(self.sync.images.get(i, var)) {
                         return None;
                     }
                     // With recovery armed, a spin satisfied *globally* is
@@ -917,7 +936,7 @@ impl<'a> Machine<'a> {
             ProcState::Computing { until } => wake.min(until.max(c1)),
             ProcState::BlockedData | ProcState::BlockedSync => wake,
             ProcState::SpinLocal { var, pred } => {
-                if pred.eval(self.sync.image(p, var)) {
+                if pred.eval(self.sync.images.get(p, var)) {
                     wake.min(c1)
                 } else {
                     // The gap check may have come due while this
@@ -1002,7 +1021,7 @@ impl<'a> Machine<'a> {
                 }
                 ProcState::BlockedData | ProcState::BlockedSync => {}
                 ProcState::SpinLocal { var, pred } => {
-                    if pred.eval(self.sync.image(p, var)) {
+                    if pred.eval(self.sync.images.get(p, var)) {
                         return None; // the spin succeeds this cycle
                     }
                     if self.rec.nack_due[p] <= c {

@@ -174,7 +174,7 @@ impl<'a> Machine<'a> {
                 continue;
             }
             if let ProcState::SpinLocal { var, pred } = self.procs.state(i) {
-                let image = self.sync.image(i, var);
+                let image = self.sync.images.get(i, var);
                 let global = self.sync.vars.global[var];
                 let healable = pred.eval(global) && !pred.eval(image);
                 edges.push(WaitEdge {
@@ -204,24 +204,15 @@ impl<'a> Machine<'a> {
         if !self.wait_diagnosis().iter().any(|e| e.healable) {
             return false;
         }
-        let mut healed = 0u64;
         // Apply what was already in flight in its original order…
         for p in 0..self.procs.len() {
             while let Some((_, var, val)) = self.sync.pop_defer(p) {
-                self.sync.set_image(p, var, val);
+                self.sync.images.set(p, var, val);
             }
         }
-        // …then bring every cell up to the authoritative value, one
-        // contiguous image lane per variable.
-        for v in 0..self.sync.n_vars() {
-            let g = self.sync.vars.global[v];
-            for cell in self.sync.var_images_mut(v) {
-                if *cell != g {
-                    *cell = g;
-                    healed += 1;
-                }
-            }
-        }
+        // …then bring every image up to the authoritative value, which
+        // also drops all divergence.
+        let healed = self.sync.images.heal(&self.sync.vars.global);
         self.sync.due_min = u64::MAX;
         self.rec.repairs_done += 1;
         self.stats.recovery.watchdog_repairs += 1;

@@ -1,8 +1,9 @@
 //! The kernel's host-independent scaling contract, stated in
 //! [`KernelCounters`]: a stepped cycle costs O(processors that act), so
 //! processor visits per simulator operation do not grow with the
-//! machine — and the two step modes differ in nothing but how many
-//! cycles they step and how many processors they visit.
+//! machine, a broadcast writes one image word per bus domain — and the
+//! two step modes differ in nothing but how many cycles they step and
+//! how many processors they visit.
 //!
 //! The workloads here are hand-built from [`Instr`]; the same gate on
 //! compiled schemes (Fig 2.1, the `perf --check` rows) is
@@ -63,6 +64,26 @@ fn visits_per_op_do_not_grow_with_the_machine() {
 }
 
 #[test]
+fn a_broadcast_writes_one_image_word_per_bus_domain_whatever_p_is() {
+    for p in [64, 1024] {
+        let flat = run(&MachineConfig::with_processors(p), &hotspot(p)).unwrap();
+        assert_eq!(flat.kernel.image_words, flat.stats.sync_broadcasts, "flat, P={p}");
+        assert_eq!(flat.kernel.words_per_broadcast(&flat.stats), 1.0, "flat, P={p}");
+
+        // Two-level: one word per bus broadcast, `clusters` per forward.
+        let clusters = p as u64 / 32;
+        let config =
+            MachineConfig::with_processors(p).fabric(FabricKind::clustered(clusters as u32));
+        let out = run(&config, &hotspot(p)).unwrap();
+        assert_eq!(
+            out.kernel.image_words,
+            out.stats.sync_broadcasts + clusters * out.stats.bridge_broadcasts,
+            "clustered, P={p}"
+        );
+    }
+}
+
+#[test]
 fn step_modes_differ_only_in_cycles_stepped_and_processors_visited() {
     let chaos = MachineConfig::with_processors(96)
         .with_faults(FaultPlan::chaos(7, 30))
@@ -78,9 +99,9 @@ fn step_modes_differ_only_in_cycles_stepped_and_processors_visited() {
         assert_eq!(ff.stats, rf.stats);
         let (f, r) = (ff.kernel, rf.kernel);
         assert_eq!(
-            (f.calendar_drains, f.waiter_walks, f.accounting_flushes),
-            (r.calendar_drains, r.waiter_walks, r.accounting_flushes),
-            "calendar, waiter index and accounting run the same in both modes"
+            (f.calendar_drains, f.waiter_walks, f.accounting_flushes, f.image_words),
+            (r.calendar_drains, r.waiter_walks, r.accounting_flushes, r.image_words),
+            "calendar, waiter index, accounting and images run the same in both modes"
         );
         // The reference stepper steps every cycle and visits everyone.
         assert_eq!((r.stepped_cycles, r.quiet_jumps), (rf.stats.makespan, 0));

@@ -8,9 +8,12 @@
 //! scan threshold, so the bucket-ring `drain_due` path runs — under
 //! dynamic and static dispatch: fault-free, with processor stalls,
 //! lost image updates and fail-stopped processors healed by the full
-//! recovery ladder, and (on the fabrics that have a bus to fault) with
+//! recovery ladder, (on the fabrics that have a bus to fault) with
 //! reordered, dropped and delayed broadcasts, which is what drives the
-//! fault branches of bus grant and completion.
+//! fault branches of bus grant and completion, and (one cell, on the
+//! two-level fabric) with lost and stale image updates heavy enough that
+//! images diverge under bridge forwards until a watchdog repair resyncs
+//! them.
 
 use datasync_repro::loopir::analysis::analyze;
 use datasync_repro::loopir::space::IterSpace;
@@ -48,6 +51,8 @@ enum Plan {
     Ladder,
     /// Reordered, dropped and delayed broadcasts: the bus fault branches.
     Queue,
+    /// Lost and stale image updates: per-processor image divergence.
+    Images,
 }
 
 #[test]
@@ -70,6 +75,13 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
         broadcast_delay_max: 6,
         ..FaultPlan::none()
     };
+    let images = FaultPlan {
+        seed: 13,
+        broadcast_loss_pct: 60,
+        stale_image_pct: 30,
+        stale_window_max: 40,
+        ..FaultPlan::none()
+    };
     // The compiled (dynamic) loop and its static-cyclic twin.
     let dynamic = compiled();
     let fixed = CompiledLoop {
@@ -85,9 +97,12 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
     ];
     for fabric in fabrics {
         for (dispatch, cell) in &cells {
-            for plan in [Plan::Clean, Plan::Ladder, Plan::Queue] {
+            for plan in [Plan::Clean, Plan::Ladder, Plan::Queue, Plan::Images] {
                 if plan == Plan::Queue && fabric == FabricKind::Ideal {
                     continue; // no bus, so nothing to reorder, drop or delay
+                }
+                if plan == Plan::Images && !(fabric.is_clustered() && *dispatch == "dynamic") {
+                    continue; // one cell: Ladder already loses images everywhere
                 }
                 let what = format!("{fabric} {dispatch} {plan:?}");
                 let config = MachineConfig::with_processors(PROCS).fabric(fabric);
@@ -99,6 +114,7 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
                     Plan::Queue => MachineConfig { sync_bus_latency: 32, ..config }
                         .with_faults(queue)
                         .with_recovery(RecoveryPolicy::Full),
+                    Plan::Images => config.with_faults(images).with_recovery(RecoveryPolicy::Full),
                 };
                 let fast = run(cell, &config, StepMode::FastForward);
                 let slow = run(cell, &config, StepMode::Reference);
@@ -113,7 +129,20 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
                 }
                 let f = &s.faults;
                 match plan {
-                    Plan::Clean => {
+                    // Image faults touch no message in flight, so traffic
+                    // is conserved under them exactly as on a clean run.
+                    Plan::Clean | Plan::Images => {
+                        if plan == Plan::Images {
+                            let r = &s.recovery;
+                            assert!(
+                                f.lost_image_updates > 0 && f.stale_image_updates > 0,
+                                "{what}: image faults must fire: {f:?}"
+                            );
+                            assert!(
+                                r.watchdog_repairs > 0 && r.images_repaired > 0,
+                                "{what}: the ladder must reach a watchdog repair: {r:?}"
+                            );
+                        }
                         assert_eq!(
                             s.sync_ops_issued,
                             s.sync_broadcasts + s.coalesced_writes,
