@@ -1,7 +1,7 @@
 //! Deterministic chaos fuzzing of the simulated machine.
 //!
 //! A master seed expands into thousands of random fuzz cells, each a
-//! [`ChaosCase`]: a scheme, a fabric, a machine size and a randomly
+//! [`Cell`]: a scheme, a fabric, a machine size and a randomly
 //! composed [`FaultPlan`] that may mix every fault class — including
 //! the unbounded ones (broadcast loss, processor fail-stop) that the
 //! per-class robustness matrix sweeps one at a time. Every cell runs
@@ -24,308 +24,73 @@
 //! A violated cell is [`shrink`]-ed to a minimal reproducer — greedily
 //! zeroing whole fault classes, then halving intensities, then shrinking
 //! the workload and machine — and written as a flat, replayable JSON
-//! document ([`ChaosCase::to_json`]); `datasync chaos --replay FILE`
+//! document ([`Cell::to_json`]); `datasync chaos --replay FILE`
 //! re-runs it byte-exact from the JSON alone.
 
-use datasync_loopir::analysis::analyze;
-use datasync_loopir::space::IterSpace;
-use datasync_loopir::workpatterns::fig21_loop;
-use datasync_schemes::scheme::{CompiledLoop, Scheme};
-use datasync_schemes::{
-    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
-};
+use datasync_schemes::cell::{Cell, SCHEME_KEYS};
 use datasync_sim::{
-    CacheModel, CoherenceProtocol, FabricKind, FaultClass, FaultPlan, MachineConfig,
-    RecoveryPolicy, SplitMix64, StepMode,
+    CacheModel, CoherenceProtocol, FabricKind, FaultClass, FaultPlan, SplitMix64, StepMode,
 };
 
-/// Stable scheme keys a case is generated from and replayed by (the
-/// human-readable `Scheme::name` strings carry parameters and are not
-/// stable identifiers).
-pub const SCHEME_KEYS: [&str; 5] = ["reference", "instance", "statement", "process", "barrier"];
-
-/// One fuzz cell: everything needed to reproduce a run byte-exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosCase {
-    /// Scheme key (see [`SCHEME_KEYS`]).
-    pub scheme: String,
-    /// Sync-fabric backend.
-    pub fabric: FabricKind,
-    /// Loop iteration count (Fig 2.1 workload).
-    pub iterations: i64,
-    /// Processor count.
-    pub processors: usize,
-    /// Private-cache model under the data bus (most cells run cacheless,
-    /// matching the paper's machine; the rest draw a protocol, a
-    /// geometry and the sync-cacheability bit).
-    pub cache: CacheModel,
-    /// The fault plan, seed included.
-    pub plan: FaultPlan,
-}
-
-impl ChaosCase {
-    /// Deterministically generates fuzz cell `index` of master `seed`.
-    /// The same `(seed, index)` always yields the same case, so a soak
-    /// can fan cells across threads and still reproduce any of them.
-    pub fn generate(seed: u64, index: usize) -> Self {
-        let golden = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rng = SplitMix64::new(seed ^ golden.wrapping_mul(index as u64 + 1));
-        let scheme = SCHEME_KEYS[rng.range_usize(0, SCHEME_KEYS.len() - 1)].to_string();
-        // Powers of two keep the barrier scheme's butterfly well formed;
-        // odd sizes are exercised by the non-barrier schemes.
-        let mut processors = rng.range_usize(2, 4);
-        if scheme == "barrier" && !processors.is_power_of_two() {
-            processors = 4;
-        }
-        let mut fabric = FabricKind::ALL[rng.range_usize(0, FabricKind::ALL.len() - 1)];
-        // One cell in three swaps the flat fabric for the two-level
-        // clustered one, drawing a cluster count that divides P plus a
-        // bridge latency and coalescing window.
-        if rng.chance_pct(33) {
-            let divisors: Vec<u32> = (1..=processors as u32)
-                .filter(|c| (processors as u32).is_multiple_of(*c))
-                .collect();
-            fabric = FabricKind::Clustered {
-                clusters: divisors[rng.range_usize(0, divisors.len() - 1)],
-                bridge_latency: rng.range_u32(1, 4),
-                coalesce_window: rng.range_u32(0, 8),
-            };
-        }
-        let iterations = rng.range_i64(4, 14);
-        // Two cells in five run with private caches, split across the
-        // protocols, geometries and the sync-cacheability bit.
-        let cache = if rng.chance_pct(40) {
-            let protocol = CoherenceProtocol::ALL[rng.range_usize(0, 1)];
-            let sets = [4u32, 16, 64][rng.range_usize(0, 2)];
-            let assoc = [1u32, 2][rng.range_usize(0, 1)];
-            let line = [2u32, 4][rng.range_usize(0, 1)];
-            let model = CacheModel::private(protocol).geometry(sets, assoc, line);
-            if rng.chance_pct(25) {
-                model.sync_uncached()
-            } else {
-                model
-            }
+/// Deterministically generates fuzz cell `index` of master `seed`.
+/// The same `(seed, index)` always yields the same cell, so a soak
+/// can fan cells across threads and still reproduce any of them.
+pub fn generate(seed: u64, index: usize) -> Cell {
+    let golden = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = SplitMix64::new(seed ^ golden.wrapping_mul(index as u64 + 1));
+    let scheme = SCHEME_KEYS[rng.range_usize(0, SCHEME_KEYS.len() - 1)].to_string();
+    // Powers of two keep the barrier scheme's butterfly well formed;
+    // odd sizes are exercised by the non-barrier schemes.
+    let mut processors = rng.range_usize(2, 4);
+    if scheme == "barrier" && !processors.is_power_of_two() {
+        processors = 4;
+    }
+    let mut fabric = FabricKind::ALL[rng.range_usize(0, FabricKind::ALL.len() - 1)];
+    // One cell in three swaps the flat fabric for the two-level
+    // clustered one, drawing a cluster count that divides P plus a
+    // bridge latency and coalescing window.
+    if rng.chance_pct(33) {
+        let divisors: Vec<u32> = (1..=processors as u32)
+            .filter(|c| (processors as u32).is_multiple_of(*c))
+            .collect();
+        fabric = FabricKind::Clustered {
+            clusters: divisors[rng.range_usize(0, divisors.len() - 1)],
+            bridge_latency: rng.range_u32(1, 4),
+            coalesce_window: rng.range_u32(0, 8),
+        };
+    }
+    let iterations = rng.range_i64(4, 14);
+    // Two cells in five run with private caches (most stay cacheless,
+    // matching the paper's machine), split across the protocols,
+    // geometries and the sync-cacheability bit.
+    let cache = if rng.chance_pct(40) {
+        let protocol = CoherenceProtocol::ALL[rng.range_usize(0, 1)];
+        let sets = [4u32, 16, 64][rng.range_usize(0, 2)];
+        let assoc = [1u32, 2][rng.range_usize(0, 1)];
+        let line = [2u32, 4][rng.range_usize(0, 1)];
+        let model = CacheModel::private(protocol).geometry(sets, assoc, line);
+        if rng.chance_pct(25) {
+            model.sync_uncached()
         } else {
-            CacheModel::None
-        };
-        let mut plan = FaultPlan { seed: rng.next_u64(), ..FaultPlan::none() };
-        // One cell in ten is a fault-free control; the rest mix classes
-        // independently, each with its own intensity draw, so cells are
-        // lopsided rather than uniformly shaken.
-        if rng.chance_pct(90) {
-            for class in FaultClass::ALL {
-                if rng.chance_pct(45) {
-                    plan = overlay(plan, FaultPlan::only(class, plan.seed, rng.range_u32(10, 100)));
-                }
+            model
+        }
+    } else {
+        CacheModel::None
+    };
+    let mut plan = FaultPlan { seed: rng.next_u64(), ..FaultPlan::none() };
+    // One cell in ten is a fault-free control; the rest mix classes
+    // independently, each with its own intensity draw, so cells are
+    // lopsided rather than uniformly shaken.
+    if rng.chance_pct(90) {
+        for class in FaultClass::ALL {
+            if rng.chance_pct(45) {
+                // `overlay`, not `FaultPlan::chaos`: the fuzzer *wants* the
+                // unbounded classes in the mix.
+                plan = plan.overlay(FaultPlan::only(class, plan.seed, rng.range_u32(10, 100)));
             }
         }
-        ChaosCase { scheme, fabric, iterations, processors, cache, plan }
     }
-
-    /// Compiles this case's loop under its scheme.
-    fn compile(&self) -> Result<(CompiledLoop, MachineConfig), String> {
-        let nest = fig21_loop(self.iterations);
-        let graph = analyze(&nest);
-        let space = IterSpace::of(&nest);
-        let x = self.processors.max(2);
-        let scheme: Box<dyn Scheme> = match self.scheme.as_str() {
-            "reference" => Box::new(ReferenceBased::new()),
-            "instance" => Box::new(InstanceBased::new()),
-            "statement" => Box::new(StatementOriented::new()),
-            "process" => Box::new(ProcessOriented::new(x)),
-            "barrier" if self.processors.is_power_of_two() => {
-                Box::new(BarrierPhased::new(self.processors))
-            }
-            other => return Err(format!("unknown or ill-formed scheme key `{other}`")),
-        };
-        let compiled = scheme.compile(&nest, &graph, &space);
-        let mut config = MachineConfig {
-            sync_transport: scheme.natural_transport(),
-            sync_fabric: self.fabric,
-            recovery: RecoveryPolicy::Full,
-            cache: self.cache,
-            faults: self.plan,
-            ..MachineConfig::with_processors(self.processors)
-        };
-        config.max_cycles = config
-            .max_cycles
-            .max(config.scaled_max_cycles(compiled.workload.programs.len()));
-        Ok((compiled, config))
-    }
-
-    /// Serializes the case as a flat JSON object, replayable byte-exact
-    /// from the document alone (hand-rolled like every serializer in
-    /// this dependency-free workspace).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let p = &self.plan;
-        let mut out = String::from("{\n");
-        let _ = write!(
-            out,
-            "  \"chaos_case\": 1,\n  \"scheme\": \"{}\",\n  \"fabric\": \"{}\",\n  \
-             \"iterations\": {},\n  \"processors\": {},\n  \"seed\": {},\n",
-            self.scheme, self.fabric, self.iterations, self.processors, p.seed
-        );
-        let (cache_word, sets, assoc, line, sync_bit) = match self.cache {
-            CacheModel::None => ("none".to_string(), 0, 0, 0, 0),
-            CacheModel::Private { protocol, sets, assoc, line_words, cache_sync, .. } => {
-                (protocol.to_string(), sets, assoc, line_words, u32::from(cache_sync))
-            }
-        };
-        let _ = writeln!(out, "  \"cache\": \"{cache_word}\",");
-        let (clusters, bridge_latency, coalesce_window) = match self.fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
-                (clusters, bridge_latency, coalesce_window)
-            }
-            _ => (0, 0, 0),
-        };
-        for (key, val) in [
-            ("clusters", clusters),
-            ("bridge_latency", bridge_latency),
-            ("coalesce_window", coalesce_window),
-            ("cache_sets", sets),
-            ("cache_assoc", assoc),
-            ("cache_line", line),
-            ("cache_sync", sync_bit),
-            ("broadcast_delay_pct", p.broadcast_delay_pct),
-            ("broadcast_delay_max", p.broadcast_delay_max),
-            ("broadcast_reorder_pct", p.broadcast_reorder_pct),
-            ("broadcast_drop_pct", p.broadcast_drop_pct),
-            ("max_redeliveries", p.max_redeliveries),
-            ("stale_image_pct", p.stale_image_pct),
-            ("stale_window_max", p.stale_window_max),
-            ("stall_mean_interval", p.stall_mean_interval),
-            ("stall_max", p.stall_max),
-            ("data_jitter_pct", p.data_jitter_pct),
-            ("data_jitter_max", p.data_jitter_max),
-            ("broadcast_loss_pct", p.broadcast_loss_pct),
-            ("fail_stop_procs", p.fail_stop_procs),
-            ("fail_stop_window", p.fail_stop_window),
-        ] {
-            let _ = writeln!(out, "  \"{key}\": {val},");
-        }
-        out.truncate(out.trim_end_matches(",\n").len());
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Parses a document written by [`ChaosCase::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Reports the first missing or malformed field.
-    pub fn from_json(doc: &str) -> Result<Self, String> {
-        fn num(doc: &str, key: &str) -> Result<u64, String> {
-            let tag = format!("\"{key}\":");
-            let rest = doc
-                .split(&tag)
-                .nth(1)
-                .ok_or_else(|| format!("missing field `{key}`"))?
-                .trim_start();
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().map_err(|_| format!("malformed number for `{key}`"))
-        }
-        fn text(doc: &str, key: &str) -> Result<String, String> {
-            let tag = format!("\"{key}\":");
-            let rest = doc
-                .split(&tag)
-                .nth(1)
-                .ok_or_else(|| format!("missing field `{key}`"))?
-                .trim_start();
-            let body = rest
-                .strip_prefix('"')
-                .and_then(|r| r.split('"').next())
-                .ok_or_else(|| format!("malformed string for `{key}`"))?;
-            Ok(body.to_string())
-        }
-        let n32 = |key: &str| num(doc, key).map(|v| v as u32);
-        if num(doc, "chaos_case")? != 1 {
-            return Err("unsupported chaos_case version".into());
-        }
-        let fabric_name = text(doc, "fabric")?;
-        let mut fabric = FabricKind::parse(&fabric_name)
-            .ok_or_else(|| format!("unknown fabric `{fabric_name}`"))?;
-        // Reproducers written before the clustered fabric existed (and
-        // hand-written docs) may omit the geometry: keep `parse`'s
-        // defaults for any missing field.
-        if let FabricKind::Clustered { clusters, bridge_latency, coalesce_window } = &mut fabric {
-            if let Ok(v) = n32("clusters") {
-                *clusters = v;
-            }
-            if let Ok(v) = n32("bridge_latency") {
-                *bridge_latency = v;
-            }
-            if let Ok(v) = n32("coalesce_window") {
-                *coalesce_window = v;
-            }
-        }
-        // Pre-cache reproducer files carry no cache fields: cacheless.
-        let cache = match text(doc, "cache").ok().as_deref() {
-            None | Some("none") => CacheModel::None,
-            Some(word) => {
-                let protocol = CoherenceProtocol::parse(word)
-                    .ok_or_else(|| format!("unknown cache protocol `{word}`"))?;
-                let model = CacheModel::private(protocol).geometry(
-                    n32("cache_sets")?,
-                    n32("cache_assoc")?,
-                    n32("cache_line")?,
-                );
-                if num(doc, "cache_sync")? == 0 {
-                    model.sync_uncached()
-                } else {
-                    model
-                }
-            }
-        };
-        Ok(ChaosCase {
-            scheme: text(doc, "scheme")?,
-            fabric,
-            iterations: num(doc, "iterations")? as i64,
-            processors: num(doc, "processors")? as usize,
-            cache,
-            plan: FaultPlan {
-                seed: num(doc, "seed")?,
-                broadcast_delay_pct: n32("broadcast_delay_pct")?,
-                broadcast_delay_max: n32("broadcast_delay_max")?,
-                broadcast_reorder_pct: n32("broadcast_reorder_pct")?,
-                broadcast_drop_pct: n32("broadcast_drop_pct")?,
-                max_redeliveries: n32("max_redeliveries")?,
-                stale_image_pct: n32("stale_image_pct")?,
-                stale_window_max: n32("stale_window_max")?,
-                stall_mean_interval: n32("stall_mean_interval")?,
-                stall_max: n32("stall_max")?,
-                data_jitter_pct: n32("data_jitter_pct")?,
-                data_jitter_max: n32("data_jitter_max")?,
-                broadcast_loss_pct: n32("broadcast_loss_pct")?,
-                fail_stop_procs: n32("fail_stop_procs")?,
-                fail_stop_window: n32("fail_stop_window")?,
-            },
-        })
-    }
-}
-
-/// Merges one single-class plan into an accumulating plan (field-wise
-/// max, the same composition rule [`FaultPlan::chaos`] uses — but
-/// without its bounded-classes-only restriction: the fuzzer *wants* the
-/// unbounded classes in the mix).
-fn overlay(a: FaultPlan, b: FaultPlan) -> FaultPlan {
-    FaultPlan {
-        seed: a.seed,
-        broadcast_delay_pct: a.broadcast_delay_pct.max(b.broadcast_delay_pct),
-        broadcast_delay_max: a.broadcast_delay_max.max(b.broadcast_delay_max),
-        broadcast_reorder_pct: a.broadcast_reorder_pct.max(b.broadcast_reorder_pct),
-        broadcast_drop_pct: a.broadcast_drop_pct.max(b.broadcast_drop_pct),
-        max_redeliveries: a.max_redeliveries.max(b.max_redeliveries),
-        stale_image_pct: a.stale_image_pct.max(b.stale_image_pct),
-        stale_window_max: a.stale_window_max.max(b.stale_window_max),
-        stall_mean_interval: a.stall_mean_interval.max(b.stall_mean_interval),
-        stall_max: a.stall_max.max(b.stall_max),
-        data_jitter_pct: a.data_jitter_pct.max(b.data_jitter_pct),
-        data_jitter_max: a.data_jitter_max.max(b.data_jitter_max),
-        broadcast_loss_pct: a.broadcast_loss_pct.max(b.broadcast_loss_pct),
-        fail_stop_procs: a.fail_stop_procs.max(b.fail_stop_procs),
-        fail_stop_window: a.fail_stop_window.max(b.fail_stop_window),
-    }
+    Cell { scheme, fabric, iterations, processors, cache, plan }
 }
 
 /// Zeroes every field of `class` in the plan (the shrinker's coarsest
@@ -370,7 +135,7 @@ fn without_class(mut plan: FaultPlan, class: FaultClass) -> FaultPlan {
 /// A *detected* failure (deadlock proof or timeout) is not a violation
 /// as long as both stepping modes report it identically — the fuzzer
 /// polices silent wrongness, not honest wedges.
-pub fn run_case(case: &ChaosCase) -> Result<(), String> {
+pub fn run_case(case: &Cell) -> Result<(), String> {
     let (compiled, config) = case.compile()?;
     let fast = compiled.run_with(&config, StepMode::FastForward);
     let reference = compiled.run_with(&config, StepMode::Reference);
@@ -476,13 +241,13 @@ pub fn run_case(case: &ChaosCase) -> Result<(), String> {
 /// every intensity, then shrink the workload and the machine —
 /// accepting each move only while the predicate still fails, until a
 /// full pass changes nothing.
-pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> ChaosCase {
+pub fn shrink_with(case: &Cell, fails: impl Fn(&Cell) -> bool) -> Cell {
     let mut current = case.clone();
     loop {
         let mut improved = false;
         // Coarsest first: remove whole fault classes.
         for class in FaultClass::ALL {
-            let cand = ChaosCase { plan: without_class(current.plan, class), ..current.clone() };
+            let cand = Cell { plan: without_class(current.plan, class), ..current.clone() };
             if cand.plan != current.plan && fails(&cand) {
                 current = cand;
                 improved = true;
@@ -507,7 +272,7 @@ pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> Chao
             fail_stop_procs: p.fail_stop_procs.min(1),
             fail_stop_window: p.fail_stop_window,
         };
-        let cand = ChaosCase { plan: halved, ..current.clone() };
+        let cand = Cell { plan: halved, ..current.clone() };
         if cand.plan != current.plan && fails(&cand) {
             current = cand;
             improved = true;
@@ -515,7 +280,7 @@ pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> Chao
         // Drop the cache layer: a reproducer that still fails on the
         // cacheless machine is simpler to reason about.
         if current.cache.enabled() {
-            let cand = ChaosCase { cache: CacheModel::None, ..current.clone() };
+            let cand = Cell { cache: CacheModel::None, ..current.clone() };
             if fails(&cand) {
                 current = cand;
                 improved = true;
@@ -524,7 +289,7 @@ pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> Chao
         // Flatten the fabric: a reproducer on the plain dedicated bus
         // beats a two-level one.
         if current.fabric.is_clustered() {
-            let cand = ChaosCase { fabric: FabricKind::Dedicated, ..current.clone() };
+            let cand = Cell { fabric: FabricKind::Dedicated, ..current.clone() };
             if fails(&cand) {
                 current = cand;
                 improved = true;
@@ -532,14 +297,14 @@ pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> Chao
         }
         // Shrink the workload, then the machine.
         if current.iterations > 2 {
-            let cand = ChaosCase { iterations: current.iterations / 2, ..current.clone() };
+            let cand = Cell { iterations: current.iterations / 2, ..current.clone() };
             if fails(&cand) {
                 current = cand;
                 improved = true;
             }
         }
         if current.processors > 2 {
-            let mut cand = ChaosCase { processors: 2, ..current.clone() };
+            let mut cand = Cell { processors: 2, ..current.clone() };
             // Keep a surviving clustered geometry legal on the smaller
             // machine (the cluster count must divide P).
             if let FabricKind::Clustered { clusters, .. } = &mut cand.fabric {
@@ -557,7 +322,7 @@ pub fn shrink_with(case: &ChaosCase, fails: impl Fn(&ChaosCase) -> bool) -> Chao
 }
 
 /// [`shrink_with`] under the real failure predicate ([`run_case`]).
-pub fn shrink(case: &ChaosCase) -> ChaosCase {
+pub fn shrink(case: &Cell) -> Cell {
     shrink_with(case, |c| run_case(c).is_err())
 }
 
@@ -565,14 +330,14 @@ pub fn shrink(case: &ChaosCase) -> ChaosCase {
 /// shrunk minimal reproducer.
 #[derive(Debug, Clone)]
 pub struct ChaosFailure {
-    /// Index of the cell in the soak (`ChaosCase::generate(seed, index)`).
+    /// Index of the cell in the soak (`generate(seed, index)`).
     pub index: usize,
     /// The violated invariant, human-readable.
     pub what: String,
     /// The cell as generated.
-    pub case: ChaosCase,
+    pub case: Cell,
     /// The shrunk minimal reproducer.
-    pub minimal: ChaosCase,
+    pub minimal: Cell,
 }
 
 /// A completed soak run.
@@ -591,7 +356,7 @@ pub struct SoakReport {
 pub fn soak(cases: usize, seed: u64) -> SoakReport {
     let jobs: Vec<usize> = (0..cases).collect();
     let failures = datasync_core::par::par_map(jobs, |index| {
-        let case = ChaosCase::generate(seed, index);
+        let case = generate(seed, index);
         run_case(&case).err().map(|what| (index, case, what))
     })
     .into_iter()
@@ -610,10 +375,10 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_varied() {
-        let a = ChaosCase::generate(1989, 7);
-        let b = ChaosCase::generate(1989, 7);
+        let a = generate(1989, 7);
+        let b = generate(1989, 7);
         assert_eq!(a, b, "same (seed, index) must yield the same cell");
-        let cells: Vec<ChaosCase> = (0..40).map(|i| ChaosCase::generate(1989, i)).collect();
+        let cells: Vec<Cell> = (0..40).map(|i| generate(1989, i)).collect();
         let schemes: std::collections::HashSet<&str> =
             cells.iter().map(|c| c.scheme.as_str()).collect();
         assert!(schemes.len() >= 3, "40 cells should span several schemes: {schemes:?}");
@@ -636,78 +401,29 @@ mod tests {
     }
 
     #[test]
-    fn case_json_round_trips() {
-        for index in [0usize, 3, 11] {
-            let case = ChaosCase::generate(42, index);
+    fn clustered_cells_appear_with_legal_geometry_and_every_cell_round_trips() {
+        let cells: Vec<Cell> = (0..60).map(|i| generate(1989, i)).collect();
+        assert!(
+            cells.iter().any(|c| c.fabric.is_clustered()),
+            "the clustered-fabric axis must appear in the mix"
+        );
+        for case in &cells {
+            if let FabricKind::Clustered { clusters, .. } = case.fabric {
+                assert!(
+                    clusters >= 1 && (case.processors as u32).is_multiple_of(clusters),
+                    "clusters ({clusters}) must divide P ({})",
+                    case.processors
+                );
+            }
             let doc = case.to_json();
-            let back = ChaosCase::from_json(&doc).expect("parse own serialization");
-            assert_eq!(case, back, "round trip changed the case:\n{doc}");
+            let back = Cell::from_json(&doc).expect("parse own serialization");
+            assert_eq!(*case, back, "round trip changed the case:\n{doc}");
         }
-        assert!(ChaosCase::from_json("{}").is_err());
-    }
-
-    #[test]
-    fn pre_cache_reproducer_files_still_parse_as_cacheless() {
-        let case = ChaosCase::generate(42, 1);
-        let doc = case.to_json();
-        // A PR-7-era reproducer has no cache fields at all.
-        let stripped: String =
-            doc.lines().filter(|l| !l.contains("cache")).collect::<Vec<_>>().join("\n");
-        let back = ChaosCase::from_json(&stripped).expect("parse stripped doc");
-        assert_eq!(back.cache, CacheModel::None);
-        assert_eq!(back.plan, case.plan);
-        assert_eq!(back.scheme, case.scheme);
-    }
-
-    #[test]
-    fn clustered_cells_appear_with_legal_geometry_and_round_trip() {
-        let cells: Vec<ChaosCase> = (0..60).map(|i| ChaosCase::generate(1989, i)).collect();
-        let clustered: Vec<&ChaosCase> = cells.iter().filter(|c| c.fabric.is_clustered()).collect();
-        assert!(!clustered.is_empty(), "the clustered-fabric axis must appear in the mix");
-        for case in clustered {
-            let FabricKind::Clustered { clusters, .. } = case.fabric else { unreachable!() };
-            assert!(
-                clusters >= 1 && (case.processors as u32).is_multiple_of(clusters),
-                "clusters ({clusters}) must divide P ({})",
-                case.processors
-            );
-            let doc = case.to_json();
-            let back = ChaosCase::from_json(&doc).expect("parse clustered doc");
-            assert_eq!(*case, back, "round trip changed the clustered case:\n{doc}");
-        }
-    }
-
-    #[test]
-    fn pre_clustered_reproducer_files_still_parse() {
-        // A pre-clustered-era reproducer carries no cluster fields at all.
-        let case = (0..60)
-            .map(|i| ChaosCase::generate(7, i))
-            .find(|c| !c.fabric.is_clustered())
-            .expect("some cells stay on flat fabrics");
-        let strip = |doc: &str| -> String {
-            doc.lines()
-                .filter(|l| {
-                    !l.contains("clusters")
-                        && !l.contains("bridge_latency")
-                        && !l.contains("coalesce_window")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let doc = case.to_json();
-        let back = ChaosCase::from_json(&strip(&doc)).expect("parse stripped flat doc");
-        assert_eq!(back, case);
-        // A hand-written clustered doc without geometry fields keeps the
-        // parse defaults rather than erroring.
-        let clustered_doc =
-            doc.replace(&format!("\"fabric\": \"{}\"", case.fabric), "\"fabric\": \"clustered\"");
-        let back = ChaosCase::from_json(&strip(&clustered_doc)).expect("parse geometry-free doc");
-        assert_eq!(back.fabric, FabricKind::clustered(4));
     }
 
     #[test]
     fn shrinker_flattens_the_fabric_and_keeps_cluster_geometry_legal() {
-        let mut case = ChaosCase::generate(1989, 0);
+        let mut case = generate(1989, 0);
         case.processors = 4;
         case.fabric = FabricKind::Clustered { clusters: 4, bridge_latency: 3, coalesce_window: 8 };
         // A predicate indifferent to the fabric lets the shrinker flatten it.
@@ -725,9 +441,9 @@ mod tests {
 
     #[test]
     fn replay_runs_from_the_json_alone() {
-        let case = ChaosCase::generate(7, 5);
+        let case = generate(7, 5);
         let doc = case.to_json();
-        let back = ChaosCase::from_json(&doc).expect("parse");
+        let back = Cell::from_json(&doc).expect("parse");
         assert_eq!(run_case(&back).is_ok(), run_case(&case).is_ok());
     }
 
@@ -746,11 +462,11 @@ mod tests {
         // A synthetic violation predicate lets the shrink path be
         // demonstrated deterministically without a machine bug: "fails"
         // whenever the stale-image class is active on a big-enough run.
-        let case = ChaosCase::generate(1989, 2);
+        let case = generate(1989, 2);
         let guilty =
-            |c: &ChaosCase| c.plan.stale_image_pct > 0 && c.iterations >= 3 && c.processors >= 2;
-        let seeded = ChaosCase {
-            plan: overlay(case.plan, FaultPlan::only(FaultClass::StaleImage, case.plan.seed, 80)),
+            |c: &Cell| c.plan.stale_image_pct > 0 && c.iterations >= 3 && c.processors >= 2;
+        let seeded = Cell {
+            plan: case.plan.overlay(FaultPlan::only(FaultClass::StaleImage, case.plan.seed, 80)),
             ..case
         };
         assert!(guilty(&seeded));
@@ -773,6 +489,6 @@ mod tests {
         assert_eq!(minimal.cache, CacheModel::None, "the cache drop move should fire");
         // And the reproducer serializes for replay.
         let doc = minimal.to_json();
-        assert_eq!(ChaosCase::from_json(&doc).expect("parse"), minimal);
+        assert_eq!(Cell::from_json(&doc).expect("parse"), minimal);
     }
 }

@@ -1,7 +1,7 @@
 //! Experiment harnesses regenerating every figure and claim of the paper.
 //!
 //! One module per figure/claim; every module returns a [`table::Table`]
-//! so the binaries in `src/bin/` can print terminal or markdown output,
+//! so `datasync reproduce` can print terminal or markdown output,
 //! and the module tests assert the *shape* of each result (who wins, how
 //! things scale) without pinning absolute cycle counts.
 //!

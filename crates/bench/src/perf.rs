@@ -10,8 +10,9 @@
 //!   classified serially and through [`crate::sweep::runs`]; on a
 //!   single-core host the two are expected to tie.
 //!
-//! The report serializes to JSON (hand-rolled — the workspace is
-//! dependency-free) for `BENCH_sim.json` and the CI smoke step.
+//! The report serializes to JSON (a fixed-key `format!`, parsed back by
+//! `datasync_sim::json` in the tests) for `BENCH_sim.json` and the CI
+//! smoke step.
 
 use crate::scale::VisitGate;
 use crate::sweep;
@@ -20,6 +21,7 @@ use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
 use datasync_schemes::scheme::Scheme;
 use datasync_schemes::{classify_run, ProcessOriented};
+use datasync_sim::json::{self, Json};
 use datasync_sim::{FaultPlan, MachineConfig, StepMode};
 use std::time::Instant;
 
@@ -382,54 +384,33 @@ impl PerfCheck {
     }
 }
 
-/// Extracts `"fast_cycles_per_sec": <number>` from a baseline report
-/// (hand-rolled — the workspace is dependency-free).
+/// Reads `fast_cycles_per_sec` from a parsed baseline report.
 ///
 /// # Errors
 ///
-/// Errors when the key is missing or its value is not a finite number
+/// Errors when the key is missing or its value is not a positive number
 /// (a `null` baseline cannot gate anything).
-pub fn baseline_cycles_per_sec(json: &str) -> Result<f64, String> {
-    const KEY: &str = "\"fast_cycles_per_sec\"";
-    let at = json.find(KEY).ok_or_else(|| format!("baseline JSON has no {KEY} field"))?;
-    let rest = json[at + KEY.len()..]
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed baseline JSON after {KEY}"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    let value: f64 = rest[..end]
-        .parse()
-        .map_err(|_| format!("baseline {KEY} is not a number: '{}'", &rest[..end.min(24)]))?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(format!("baseline {KEY} = {value} cannot gate a check"))
+fn baseline_cycles_per_sec(baseline: &Json) -> Result<f64, String> {
+    const KEY: &str = "fast_cycles_per_sec";
+    let field = baseline
+        .get(KEY)
+        .ok_or_else(|| format!("baseline JSON has no \"{KEY}\" field"))?;
+    match field.as_f64() {
+        Some(value) if value > 0.0 => Ok(value),
+        Some(value) => Err(format!("baseline \"{KEY}\" = {value} cannot gate a check")),
+        None => Err(format!("baseline \"{KEY}\" is not a number")),
     }
-}
-
-/// Extracts `"<key>": <number>` from a baseline report, returning `None`
-/// when the key is absent or its value is `null` (degraded reports write
-/// `null` for speedups they cannot honestly claim).
-fn baseline_number(json: &str, key: &str) -> Option<f64> {
-    let quoted = format!("\"{key}\"");
-    let at = json.find(&quoted)?;
-    let rest = json[at + quoted.len()..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 /// Builds the sweep-consistency warning for a baseline report: a claim
 /// of `threads > 1` together with `sweep_speedup <= 1` means the
 /// "parallel" sweep lost to the serial one — an oversubscribed or
-/// contended measurement host, not a real configuration.
-fn sweep_warning_for(baseline_json: &str) -> Option<String> {
-    let threads = baseline_number(baseline_json, "threads")?;
-    let speedup = baseline_number(baseline_json, "sweep_speedup")?;
+/// contended measurement host, not a real configuration. No warning
+/// when either key is absent or `null` (degraded reports write `null`
+/// for speedups they cannot honestly claim).
+fn sweep_warning_for(baseline: &Json) -> Option<String> {
+    let threads = baseline.get("threads")?.as_f64()?;
+    let speedup = baseline.get("sweep_speedup")?.as_f64()?;
     if threads > 1.0 && speedup <= 1.0 {
         Some(format!(
             "warning: baseline claims {threads:.0} sweep threads but sweep_speedup is \
@@ -456,7 +437,8 @@ fn sweep_warning_for(baseline_json: &str) -> Option<String> {
 ///
 /// Panics if a benchmark workload fails to simulate.
 pub fn check(baseline_json: &str, quick: bool) -> Result<PerfCheck, String> {
-    let baseline = baseline_cycles_per_sec(baseline_json)?;
+    let baseline_doc = json::parse(baseline_json).map_err(|e| format!("baseline JSON: {e}"))?;
+    let baseline = baseline_cycles_per_sec(&baseline_doc)?;
     let (iters, cost) = if quick { (48i64, 2_000u32) } else { (160, 10_000) };
     let nest = fig21_loop(iters);
     let graph = analyze(&nest);
@@ -481,7 +463,7 @@ pub fn check(baseline_json: &str, quick: bool) -> Result<PerfCheck, String> {
         baseline_cycles_per_sec: baseline,
         measured_cycles_per_sec: measured,
         ratio: measured / baseline,
-        sweep_warning: sweep_warning_for(baseline_json),
+        sweep_warning: sweep_warning_for(&baseline_doc),
     })
 }
 
@@ -534,17 +516,22 @@ mod tests {
     #[test]
     fn baseline_parsing_accepts_reports_and_rejects_junk() {
         let r = run(true);
-        let parsed = baseline_cycles_per_sec(&r.to_json()).unwrap();
+        let read = |doc: &str| baseline_cycles_per_sec(&json::parse(doc).unwrap());
+        let parsed = read(&r.to_json()).unwrap();
         assert!(
             (parsed - r.fast_cycles_per_sec).abs() / r.fast_cycles_per_sec < 0.01,
             "parsed {parsed} vs reported {}",
             r.fast_cycles_per_sec
         );
-        assert!(baseline_cycles_per_sec("{}").is_err());
-        assert!(baseline_cycles_per_sec("{\"fast_cycles_per_sec\": null}").is_err());
-        assert!(baseline_cycles_per_sec("{\"fast_cycles_per_sec\": 0.000}").is_err());
-        assert!(baseline_cycles_per_sec("{\"fast_cycles_per_sec\": -3.0}").is_err());
-        assert_eq!(baseline_cycles_per_sec("{\"fast_cycles_per_sec\": 2.5e9}").unwrap(), 2.5e9);
+        assert!(read("{}").is_err());
+        assert!(read("{\"fast_cycles_per_sec\": null}").is_err());
+        assert!(read("{\"fast_cycles_per_sec\": 0.000}").is_err());
+        assert!(read("{\"fast_cycles_per_sec\": -3.0}").is_err());
+        assert_eq!(read("{\"fast_cycles_per_sec\": 2.5e9}").unwrap(), 2.5e9);
+        // Key order and nesting no longer matter: a nested report that
+        // repeats the key cannot shadow the top-level one.
+        let nested = "{\"old\": {\"fast_cycles_per_sec\": 1.0}, \"fast_cycles_per_sec\": 7}";
+        assert_eq!(read(nested).unwrap(), 7.0);
     }
 
     #[test]
@@ -593,7 +580,7 @@ mod tests {
         assert!(c.summary().contains("warning"), "{}", c.summary());
 
         // A healthy multi-thread baseline: no warning.
-        let warning = |json: &str| sweep_warning_for(json);
+        let warning = |doc: &str| sweep_warning_for(&json::parse(doc).unwrap());
         assert!(warning("{\"threads\": 4, \"sweep_speedup\": 1.8}").is_none());
         // An honest degraded baseline (1 thread, null sweep): no warning.
         assert!(warning("{\"threads\": 1, \"sweep_speedup\": null}").is_none());

@@ -174,22 +174,19 @@ mod tests {
 
     #[test]
     fn json_report_carries_the_before_after_pair() {
-        let json = json_report(8, 4, &[0, 50], 7);
-        assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"recovery_off\""));
-        assert!(json.contains("\"recovery_on\""));
+        use datasync_sim::json::{self, Json};
+        let text = json_report(8, 4, &[0, 50], 7);
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        let tally = |half: &str, key: &str| {
+            doc.get(half)
+                .and_then(|m| m.get("tally"))
+                .and_then(|t| t.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("no {half}.tally.{key} in {text}"))
+        };
         // The pair tells the story: wedges before, none after.
-        let on_half = json.split("\"recovery_on\"").nth(1).unwrap();
-        assert!(on_half.contains("\"deadlock\": 0"), "{on_half}");
-        assert!(on_half.contains("\"timeout\": 0"), "{on_half}");
-        let off_half = json
-            .split("\"recovery_off\"")
-            .nth(1)
-            .unwrap()
-            .split("\"recovery_on\"")
-            .next()
-            .unwrap();
-        assert!(!off_half.contains("\"deadlock\": 0"), "{off_half}");
+        assert_eq!(tally("recovery_on", "deadlock"), 0);
+        assert_eq!(tally("recovery_on", "timeout"), 0);
+        assert_ne!(tally("recovery_off", "deadlock"), 0);
     }
 }

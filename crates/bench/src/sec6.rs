@@ -359,27 +359,26 @@ mod tests {
 
     #[test]
     fn fabric_json_is_complete() {
-        let json = super::fabric_json(16, 4);
-        for key in [
-            "\"experiment\"",
-            "\"rows\"",
-            "\"dedicated\"",
-            "\"shared\"",
-            "\"ideal\"",
-            "\"vs_dedicated\"",
-            "\"sync_ops_issued\"",
-            "\"coalesced\"",
-            "\"cache_ablation\"",
-            "\"sync_cached\"",
-            "\"cache_sweep\"",
-            "\"coherence_tx\"",
+        use datasync_sim::json::{self, Json};
+        let text = super::fabric_json(16, 4);
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert!(doc.get("experiment").and_then(Json::as_str).is_some());
+        let names = |key: &str| doc.get(key).and_then(Json::as_arr).expect(key);
+        assert_eq!(names("fabrics"), ["dedicated", "shared", "ideal"].map(|f| Json::Str(f.into())));
+        // 3 schemes x 3 fabrics, 2 schemes x 5 cache cells, 2 protocols
+        // x 6 geometries — every row with every column.
+        for (table, rows, columns) in [
+            ("rows", 9, &["scheme", "fabric", "sync_ops_issued", "coalesced", "vs_dedicated"][..]),
+            ("cache_ablation", 10, &["scheme", "cache", "sync_cached", "hit_rate"][..]),
+            ("cache_sweep", 12, &["protocol", "sets", "coherence_tx", "writebacks"][..]),
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert_eq!(names(table).len(), rows, "{table}");
+            for row in names(table) {
+                for column in columns {
+                    assert!(row.get(column).is_some(), "{table} row lacks {column}: {text}");
+                }
+            }
         }
-        // 3 schemes x 3 fabrics, plus 2 schemes x 5 cache cells.
-        assert_eq!(json.matches("{\"scheme\"").count(), 9 + 10);
-        // 2 protocols x 6 geometries.
-        assert_eq!(json.matches("{\"protocol\"").count(), 12);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!    byte-identical aggregate hash.
 
 use datasync_serve::{ServeConfig, Server};
+use datasync_sim::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -124,25 +125,22 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
     out
 }
 
-/// Extracts `"key":<u64>` from the response's summary line.
-fn summary_u64(response: &str, key: &str) -> u64 {
-    response
-        .lines()
-        .last()
-        .and_then(|l| l.split(&format!("\"{key}\":")).nth(1))
-        .and_then(|rest| {
-            rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok()
-        })
-        .unwrap_or(u64::MAX)
+/// The response's last line, parsed: the `{"summary": {...}}` object of
+/// a sweep, or the flat `/stats` object.
+fn last_line(response: &str) -> Option<Json> {
+    let doc = json::parse(response.lines().last()?).ok()?;
+    Some(doc.get("summary").cloned().unwrap_or(doc))
 }
 
-/// Extracts the 16-hex aggregate hash from the summary line.
+/// Reads a `u64` member of the summary (or `/stats`) line.
+fn summary_u64(response: &str, key: &str) -> u64 {
+    last_line(response).and_then(|s| s.get(key)?.as_u64()).unwrap_or(u64::MAX)
+}
+
+/// Reads the 16-hex aggregate hash from the summary line.
 fn aggregate_hash(response: &str) -> String {
-    response
-        .lines()
-        .last()
-        .and_then(|l| l.split("\"aggregate_hash\":\"").nth(1))
-        .map(|rest| rest.chars().take(16).collect())
+    last_line(response)
+        .and_then(|s| Some(s.get("aggregate_hash")?.as_str()?.to_string()))
         .unwrap_or_default()
 }
 
@@ -336,19 +334,32 @@ mod tests {
 
     #[test]
     fn serve_reproducers_replay_through_the_chaos_harness() {
-        // The service hand-writes its quarantine reproducers in the
-        // chaos-fuzzer format (the dependency arrow points bench ->
-        // serve, so serve cannot call ChaosCase::to_json itself); this
-        // cross-check pins the two serializations together.
-        use crate::chaos::{run_case, ChaosCase};
+        // A quarantined cell must reload as exactly the machine the
+        // service ran — every field, cluster geometry and cache bits
+        // included — and replay under the fuzzer's invariants.
+        use crate::chaos::run_case;
+        use datasync_schemes::Cell;
         use datasync_serve::spec::CellSpec;
-        for (fault_pct, seed) in [(0u32, 1u64), (35, 13), (60, 99)] {
-            let spec = CellSpec { fault_pct, seed, ..CellSpec::default() };
-            let doc = datasync_serve::runner::chaos_reproducer(&spec);
-            let case = ChaosCase::from_json(&doc).expect("serve reproducers parse as chaos cases");
-            assert_eq!(case.scheme, spec.scheme);
-            assert_eq!(case.iterations, spec.iterations);
-            assert_eq!(case.processors, spec.processors);
+        use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind};
+        let d = CellSpec { deadline_cycles: 1, ..CellSpec::default() };
+        let clustered =
+            FabricKind::Clustered { clusters: 2, bridge_latency: 3, coalesce_window: 7 };
+        let mesi = CacheModel::private(CoherenceProtocol::Mesi).geometry(4, 1, 2).sync_uncached();
+        for spec in [
+            CellSpec { seed: 1, ..d.clone() },
+            CellSpec { fault_pct: 35, seed: 13, ..d.clone() },
+            CellSpec { fault_pct: 60, seed: 99, ..d.clone() },
+            CellSpec { fabric: clustered, processors: 2, ..d.clone() },
+            CellSpec { cache: mesi, ..d },
+        ] {
+            let run = datasync_serve::run_cell(&spec);
+            let doc = run.reproducer.expect("a 1-cycle deadline quarantines the cell");
+            let case = Cell::from_json(&doc).expect("serve reproducers parse as cells");
+            assert_eq!(
+                case,
+                spec.cell(),
+                "reloaded reproducer differs from the cell served:\n{doc}"
+            );
             run_case(&case).expect("replayed cell holds machine invariants");
         }
     }

@@ -559,16 +559,22 @@ pub fn robustness(p: &Parsed) -> Result<crate::CliOutput, CliError> {
 /// Replays one reproducer file, appending its verdict to `text`.
 /// Returns the exit code for that case (0 clean, 7 violated).
 fn replay_one(path: &str, text: &mut String) -> Result<i32, CliError> {
-    use datasync_bench::chaos::{run_case, ChaosCase};
     let doc = std::fs::read_to_string(path)
         .map_err(|e| CliError::from(format!("cannot read '{path}': {e}")))?;
-    let case = ChaosCase::from_json(&doc)?;
+    let case = datasync_schemes::Cell::from_json(&doc)?;
+    let mut fabric = case.fabric.to_string();
+    if let FabricKind::Clustered { clusters, bridge_latency, coalesce_window } = case.fabric {
+        let _ = write!(
+            fabric,
+            " (clusters {clusters}, bridge latency {bridge_latency}, window {coalesce_window})"
+        );
+    }
     let _ = writeln!(
         text,
-        "replaying {path}: scheme {}, fabric {}, N={}, P={}, plan seed {}",
-        case.scheme, case.fabric, case.iterations, case.processors, case.plan.seed
+        "replaying {path}: scheme {}, fabric {fabric}, N={}, P={}, plan seed {}",
+        case.scheme, case.iterations, case.processors, case.plan.seed
     );
-    match run_case(&case) {
+    match datasync_bench::chaos::run_case(&case) {
         Ok(()) => {
             let _ = writeln!(text, "all machine invariants hold");
             Ok(0)

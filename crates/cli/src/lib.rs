@@ -668,11 +668,11 @@ mod tests {
 
     #[test]
     fn chaos_replays_a_reproducer_file() {
-        use datasync_bench::chaos::ChaosCase;
+        use datasync_bench::chaos::generate;
         let dir = std::env::temp_dir().join("datasync_cli_chaos_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("case.json");
-        std::fs::write(&path, ChaosCase::generate(7, 4).to_json()).unwrap();
+        std::fs::write(&path, generate(7, 4).to_json()).unwrap();
         let out = run_full(&["chaos", "--replay", path.to_str().unwrap()]).unwrap();
         assert_eq!(out.code, 0, "{}", out.text);
         assert!(out.text.contains("all machine invariants hold"), "{}", out.text);
@@ -683,12 +683,12 @@ mod tests {
 
     #[test]
     fn chaos_replays_a_directory_of_reproducers() {
-        use datasync_bench::chaos::ChaosCase;
+        use datasync_bench::chaos::generate;
         let dir = std::env::temp_dir().join("datasync_cli_chaos_dir_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.json"), ChaosCase::generate(7, 4).to_json()).unwrap();
-        std::fs::write(dir.join("b.json"), ChaosCase::generate(9, 4).to_json()).unwrap();
+        std::fs::write(dir.join("a.json"), generate(7, 4).to_json()).unwrap();
+        std::fs::write(dir.join("b.json"), generate(9, 4).to_json()).unwrap();
         std::fs::write(dir.join("notes.txt"), "not a reproducer").unwrap();
         let out = run_full(&["chaos", "--replay", dir.to_str().unwrap()]).unwrap();
         assert_eq!(out.code, 0, "{}", out.text);

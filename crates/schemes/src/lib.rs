@@ -18,6 +18,10 @@
 //! validation obligations that prove, from the run's trace, that the
 //! synchronization actually enforced the dependences.
 //!
+//! [`cell`] is the one written description of a run — scheme key, machine
+//! and fault plan — that the chaos fuzzer, the replay command and the
+//! sweep service all compile and serialize through.
+//!
 //! [`compare`] runs one workload under all schemes and produces the
 //! report rows the benchmark harnesses print.
 
@@ -25,6 +29,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod barrier_phased;
+pub mod cell;
 pub mod compare;
 pub mod instance_based;
 pub mod process_oriented;
@@ -34,6 +39,7 @@ pub mod scheme;
 pub mod statement_oriented;
 
 pub use barrier_phased::BarrierPhased;
+pub use cell::{Cell, SCHEME_KEYS};
 pub use compare::{compare_all, SchemeReport};
 pub use instance_based::InstanceBased;
 pub use process_oriented::ProcessOriented;

@@ -491,10 +491,8 @@ impl Matrix {
     /// intensity)` (or `FaultPlan::chaos` for the `chaos` row) on a
     /// machine with the documented processor count and recovery policy.
     pub fn to_json(&self) -> String {
+        use datasync_sim::json::escape as esc;
         use std::fmt::Write as _;
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n  \"schema_version\": 2,\n");
         let _ = write!(
             out,
@@ -843,30 +841,23 @@ mod tests {
     }
 
     #[test]
-    fn matrix_json_is_balanced_and_complete() {
+    fn matrix_json_parses_and_is_complete() {
+        use datasync_sim::json::{self, Json};
         let m = sweep(6, &base(), &[0, 50], 1);
-        let json = m.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"schema_version\": 2"));
-        assert!(json.contains("\"intensities\": [0, 50]"));
-        assert!(json.contains("\"tally\""));
-        assert!(json.contains("\"reconfigured\""));
-        assert_eq!(json.matches("\"scheme\"").count(), m.rows.len());
-        // Every row carries its fault seed for standalone replay.
-        assert_eq!(json.matches("\"seed\": 1").count(), m.rows.len() + 1);
-    }
-
-    /// Pulls `"key": value` (unquoted) out of a flat JSON document.
-    fn json_u64(json: &str, key: &str) -> u64 {
-        let pat = format!("\"{key}\": ");
-        let at = json.find(&pat).unwrap_or_else(|| panic!("{key} missing")) + pat.len();
-        json[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
+        let text = m.to_json();
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(2));
+        let intensities = doc.get("intensities").and_then(Json::as_arr).expect("intensities");
+        assert_eq!(intensities, [Json::Num(0), Json::Num(50)]);
+        assert!(doc.get("tally").and_then(|t| t.get("reconfigured")).is_some(), "{text}");
+        let rows = doc.get("rows").and_then(Json::as_arr).expect("rows");
+        assert_eq!(rows.len(), m.rows.len());
+        for row in rows {
+            assert!(row.get("scheme").and_then(Json::as_str).is_some(), "{text}");
+            // Every row carries its fault seed for standalone replay.
+            assert_eq!(row.get("seed").and_then(Json::as_u64), Some(1));
+            assert_eq!(row.get("cells").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        }
     }
 
     #[test]
@@ -874,23 +865,24 @@ mod tests {
         // Satellite contract: the JSON alone carries enough to replay the
         // whole sweep — re-running from nothing but fields extracted out
         // of the document reproduces the document bit for bit.
+        use datasync_sim::json::{self, Json};
         let cfg = MachineConfig { recovery: RecoveryPolicy::Full, ..base() };
         let m = sweep(8, &cfg, &[0, 75], 42);
-        let json = m.to_json();
-        let seed = json_u64(&json, "seed");
-        let iterations = json_u64(&json, "iterations") as i64;
-        let processors = json_u64(&json, "processors") as usize;
-        let rec_at = json.find("\"recovery\": \"").unwrap() + "\"recovery\": \"".len();
-        let recovery = &json[rec_at..rec_at + json[rec_at..].find('"').unwrap()];
-        let ints_at = json.find("\"intensities\": [").unwrap() + "\"intensities\": [".len();
-        let intensities: Vec<u8> = json[ints_at..ints_at + json[ints_at..].find(']').unwrap()]
-            .split(", ")
-            .map(|s| s.parse().unwrap())
+        let text = m.to_json();
+        let doc = json::parse(&text).expect("matrix JSON parses");
+        let num = |key: &str| doc.get(key).and_then(Json::as_u64).expect(key);
+        let recovery = doc.get("recovery").and_then(Json::as_str).expect("recovery");
+        let intensities: Vec<u8> = doc
+            .get("intensities")
+            .and_then(Json::as_arr)
+            .expect("intensities")
+            .iter()
+            .map(|v| v.as_u64().expect("intensity") as u8)
             .collect();
-        let mut replay_base = MachineConfig::with_processors(processors);
+        let mut replay_base = MachineConfig::with_processors(num("processors") as usize);
         replay_base.recovery = RecoveryPolicy::parse(recovery).expect("recovery label");
-        let replayed = sweep(iterations, &replay_base, &intensities, seed);
-        assert_eq!(replayed.to_json(), json, "replay from JSON fields must be byte-exact");
+        let replayed = sweep(num("iterations") as i64, &replay_base, &intensities, num("seed"));
+        assert_eq!(replayed.to_json(), text, "replay from JSON fields must be byte-exact");
     }
 
     #[test]

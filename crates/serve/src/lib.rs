@@ -32,7 +32,6 @@
 pub mod hash;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod queue;
 pub mod record;
 pub mod runner;
@@ -41,6 +40,9 @@ pub mod signal;
 pub mod spec;
 pub mod store;
 
+/// The workspace's JSON reader lives in the leaf crate; re-exported so
+/// `datasync_serve::json::{parse, Json, escape}` stay valid paths.
+pub use datasync_sim::json;
 pub use record::{CellRecord, RECORD_SCHEMA_VERSION};
 pub use runner::{run_cell, CellRun};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle, SERVE_SCHEMA_VERSION};

@@ -12,15 +12,9 @@
 //! poisons it immediately — determinism means retrying a wrong answer
 //! can only waste the budget reproducing it.
 
-use datasync_loopir::analysis::analyze;
-use datasync_loopir::space::IterSpace;
-use datasync_loopir::workpatterns::fig21_loop;
-use datasync_schemes::scheme::{CompiledLoop, Scheme};
-use datasync_schemes::{
-    classify_run, BarrierPhased, InstanceBased, Outcome, ProcessOriented, ReferenceBased,
-    StatementOriented,
-};
-use datasync_sim::{CacheModel, MachineConfig, RecoveryPolicy};
+use datasync_schemes::scheme::CompiledLoop;
+use datasync_schemes::{classify_run, Outcome};
+use datasync_sim::MachineConfig;
 
 use crate::record::CellRecord;
 use crate::spec::CellSpec;
@@ -40,40 +34,6 @@ pub struct CellRun {
     /// `Some` exactly when the record is poisoned: a flat JSON document
     /// in the `datasync chaos --replay` format.
     pub reproducer: Option<String>,
-}
-
-/// Compiles a cell's loop under its scheme and builds its machine
-/// config (budget not yet applied).
-///
-/// # Errors
-///
-/// Reports an unknown or ill-formed scheme key (normally impossible —
-/// specs are validated at admission).
-fn compile(spec: &CellSpec) -> Result<(CompiledLoop, MachineConfig), String> {
-    let nest = fig21_loop(spec.iterations);
-    let graph = analyze(&nest);
-    let space = IterSpace::of(&nest);
-    let x = spec.processors.max(2);
-    let scheme: Box<dyn Scheme> = match spec.scheme.as_str() {
-        "reference" => Box::new(ReferenceBased::new()),
-        "instance" => Box::new(InstanceBased::new()),
-        "statement" => Box::new(StatementOriented::new()),
-        "process" => Box::new(ProcessOriented::new(x)),
-        "barrier" if spec.processors.is_power_of_two() => {
-            Box::new(BarrierPhased::new(spec.processors))
-        }
-        other => return Err(format!("unknown or ill-formed scheme key `{other}`")),
-    };
-    let compiled = scheme.compile(&nest, &graph, &space);
-    let config = MachineConfig {
-        sync_transport: scheme.natural_transport(),
-        sync_fabric: spec.fabric,
-        recovery: RecoveryPolicy::Full,
-        cache: spec.cache,
-        faults: spec.fault_plan(),
-        ..MachineConfig::with_processors(spec.processors)
-    };
-    Ok((compiled, config))
 }
 
 /// The cell's first-attempt cycle budget: the explicit deadline
@@ -107,14 +67,25 @@ pub fn backoff_ms(cell_hash_fnv: u64, attempt: u32) -> u64 {
 
 /// Runs one cell to a terminal record.
 pub fn run_cell(spec: &CellSpec) -> CellRun {
-    let hash = spec.content_hash();
-    let (compiled, mut config) = match compile(spec) {
+    let cell = spec.cell();
+    let finish = |status: &str, makespan, attempts, budget, detail| {
+        let record = CellRecord {
+            spec: spec.clone(),
+            hash: spec.content_hash(),
+            status: status.to_string(),
+            makespan,
+            attempts,
+            budget,
+            detail,
+        };
+        let reproducer = record.is_poisoned().then(|| cell.to_json());
+        CellRun { record, reproducer }
+    };
+    let (compiled, mut config) = match cell.compile() {
         Ok(pair) => pair,
-        Err(why) => {
-            // Admission validation makes this unreachable in the server;
-            // poison rather than panic if a caller bypasses it.
-            return poisoned(spec, &hash, "quarantined", 0, 1, 0, &why);
-        }
+        // Admission validation makes this unreachable in the server;
+        // poison rather than panic if a caller bypasses it.
+        Err(why) => return finish("quarantined", 0, 1, 0, why),
     };
     let base = base_budget(spec, &compiled, &config);
     let mut attempt = 1u32;
@@ -127,11 +98,9 @@ pub fn run_cell(spec: &CellSpec) -> CellRun {
             Outcome::Recovered { makespan, .. } => ("recovered", *makespan),
             Outcome::Reconfigured { makespan, .. } => ("reconfigured", *makespan),
             Outcome::Degraded { makespan, .. } => ("degraded", *makespan),
-            Outcome::OrderViolation { .. } => {
-                // Deterministically wrong: retrying reproduces the same
-                // violation, so poison immediately.
-                return poisoned(spec, &hash, "violated", 0, attempt, budget, &outcome.cell());
-            }
+            // Deterministically wrong: retrying reproduces the same
+            // violation, so poison immediately.
+            Outcome::OrderViolation { .. } => ("violated", 0),
             Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. } => {
                 if attempt < MAX_ATTEMPTS {
                     let fnv = crate::hash::fnv1a(spec.canonical_json().as_bytes());
@@ -139,95 +108,11 @@ pub fn run_cell(spec: &CellSpec) -> CellRun {
                     attempt += 1;
                     continue;
                 }
-                return poisoned(spec, &hash, "quarantined", 0, attempt, budget, &outcome.cell());
+                ("quarantined", 0)
             }
         };
-        return CellRun {
-            record: CellRecord {
-                spec: spec.clone(),
-                hash,
-                status: status.to_string(),
-                makespan,
-                attempts: attempt,
-                budget,
-                detail: outcome.cell(),
-            },
-            reproducer: None,
-        };
+        return finish(status, makespan, attempt, budget, outcome.cell());
     }
-}
-
-fn poisoned(
-    spec: &CellSpec,
-    hash: &str,
-    status: &str,
-    makespan: u64,
-    attempts: u32,
-    budget: u64,
-    detail: &str,
-) -> CellRun {
-    CellRun {
-        record: CellRecord {
-            spec: spec.clone(),
-            hash: hash.to_string(),
-            status: status.to_string(),
-            makespan,
-            attempts,
-            budget,
-            detail: detail.to_string(),
-        },
-        reproducer: Some(chaos_reproducer(spec)),
-    }
-}
-
-/// Renders the cell as a flat chaos-fuzzer reproducer document — the
-/// exact `ChaosCase::to_json` layout, so `datasync chaos --replay` (and
-/// its new directory batch mode) re-runs a quarantined cell with full
-/// mode-bit-identity and invariant checking. Hand-written here rather
-/// than through `bench::chaos` to keep the dependency arrow pointing
-/// bench → serve (the load generator lives in bench).
-pub fn chaos_reproducer(spec: &CellSpec) -> String {
-    use std::fmt::Write as _;
-    let plan = spec.fault_plan();
-    let mut out = String::from("{\n");
-    let _ = write!(
-        out,
-        "  \"chaos_case\": 1,\n  \"scheme\": \"{}\",\n  \"fabric\": \"{}\",\n  \
-         \"iterations\": {},\n  \"processors\": {},\n  \"seed\": {},\n",
-        spec.scheme, spec.fabric, spec.iterations, spec.processors, plan.seed
-    );
-    let (cache_word, sets, assoc, line, sync_bit) = match spec.cache {
-        CacheModel::None => ("none".to_string(), 0, 0, 0, 0),
-        CacheModel::Private { protocol, sets, assoc, line_words, cache_sync, .. } => {
-            (protocol.to_string(), sets, assoc, line_words, u32::from(cache_sync))
-        }
-    };
-    let _ = writeln!(out, "  \"cache\": \"{cache_word}\",");
-    for (key, val) in [
-        ("cache_sets", sets),
-        ("cache_assoc", assoc),
-        ("cache_line", line),
-        ("cache_sync", sync_bit),
-        ("broadcast_delay_pct", plan.broadcast_delay_pct),
-        ("broadcast_delay_max", plan.broadcast_delay_max),
-        ("broadcast_reorder_pct", plan.broadcast_reorder_pct),
-        ("broadcast_drop_pct", plan.broadcast_drop_pct),
-        ("max_redeliveries", plan.max_redeliveries),
-        ("stale_image_pct", plan.stale_image_pct),
-        ("stale_window_max", plan.stale_window_max),
-        ("stall_mean_interval", plan.stall_mean_interval),
-        ("stall_max", plan.stall_max),
-        ("data_jitter_pct", plan.data_jitter_pct),
-        ("data_jitter_max", plan.data_jitter_max),
-        ("broadcast_loss_pct", plan.broadcast_loss_pct),
-        ("fail_stop_procs", plan.fail_stop_procs),
-        ("fail_stop_window", plan.fail_stop_window),
-    ] {
-        let _ = writeln!(out, "  \"{key}\": {val},");
-    }
-    out.truncate(out.trim_end_matches(",\n").len());
-    out.push_str("\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -291,27 +176,5 @@ mod tests {
         // Different cells land on different pauses somewhere in range.
         let spread: std::collections::HashSet<u64> = (0u64..32).map(|h| backoff_ms(h, 1)).collect();
         assert!(spread.len() > 1, "jitter should spread cells out");
-    }
-
-    #[test]
-    fn reproducers_cover_every_fault_field() {
-        let spec = CellSpec { fault_pct: 60, seed: 99, ..CellSpec::default() };
-        let doc = chaos_reproducer(&spec);
-        for key in [
-            "chaos_case",
-            "scheme",
-            "fabric",
-            "iterations",
-            "processors",
-            "seed",
-            "cache",
-            "broadcast_delay_pct",
-            "stale_image_pct",
-            "data_jitter_pct",
-            "fail_stop_procs",
-        ] {
-            assert!(doc.contains(&format!("\"{key}\"")), "missing {key} in:\n{doc}");
-        }
-        assert!(doc.contains("\"seed\": 99"));
     }
 }

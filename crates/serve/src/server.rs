@@ -577,6 +577,14 @@ mod tests {
         response.split("\r\n\r\n").nth(1).unwrap_or("")
     }
 
+    /// The aggregate hash on a sweep response's summary line.
+    fn aggregate_hash(response: &str) -> String {
+        let summary = json::parse(body_of(response).lines().last().expect("summary line"))
+            .expect("summary line is JSON");
+        let hash = summary.get("summary").and_then(|s| s.get("aggregate_hash"));
+        hash.and_then(json::Json::as_str).expect("aggregate_hash").to_string()
+    }
+
     #[test]
     fn healthz_stats_and_404_routes_answer() {
         let cfg = config("routes");
@@ -616,8 +624,11 @@ mod tests {
         assert!(lines2[..4].iter().all(|l| l.contains("\"cached\":true")));
         assert!(lines2[4].contains("\"computed\":0"), "{}", lines2[4]);
         assert!(lines2[4].contains("\"cached\":4"));
-        let hash_of = |s: &str| s.split("\"aggregate_hash\":\"").nth(1).unwrap()[..16].to_string();
-        assert_eq!(hash_of(summary1), hash_of(lines2[4]), "cached results must be byte-identical");
+        assert_eq!(
+            aggregate_hash(&first),
+            aggregate_hash(&second),
+            "cached results must be byte-identical"
+        );
         let summary = handle.stop();
         assert_eq!(summary.cells_computed, 4);
         assert_eq!(summary.cells_cached, 4);
@@ -633,14 +644,7 @@ mod tests {
         {
             let handle = Server::spawn(cfg.clone()).expect("spawn");
             let resp = request(handle.addr(), "POST", "/sweep", body);
-            first_hash = body_of(&resp)
-                .lines()
-                .last()
-                .unwrap()
-                .split("\"aggregate_hash\":\"")
-                .nth(1)
-                .unwrap()[..16]
-                .to_string();
+            first_hash = aggregate_hash(&resp);
             first_summary = handle.stop();
         }
         assert_eq!(first_summary.cells_computed, 3);
@@ -650,7 +654,7 @@ mod tests {
         let resp = request(handle.addr(), "POST", "/sweep", body);
         let last = body_of(&resp).lines().last().unwrap().to_string();
         assert!(last.contains("\"computed\":0"), "{last}");
-        assert!(last.contains(&format!("\"aggregate_hash\":\"{first_hash}\"")), "{last}");
+        assert_eq!(aggregate_hash(&resp), first_hash, "{last}");
         let second_summary = handle.stop();
         assert_eq!(second_summary.cells_computed, 0);
         assert_eq!(second_summary.cells_cached, 3);
@@ -667,6 +671,11 @@ mod tests {
         let unknown = request(handle.addr(), "POST", "/sweep", r#"{"speed": 9}"#);
         assert!(unknown.starts_with("HTTP/1.1 400"), "{unknown}");
         assert!(body_of(&unknown).contains("speed"));
+        // The parser reads fractions now; the sweep reader still refuses
+        // one where the wire format wants an integer.
+        let fractional = request(handle.addr(), "POST", "/sweep", r#"{"seed": 1.5}"#);
+        assert!(fractional.starts_with("HTTP/1.1 400"), "{fractional}");
+        assert!(body_of(&fractional).contains("seed"), "{fractional}");
         let big = request(
             handle.addr(),
             "POST",

@@ -17,12 +17,8 @@
 
 use crate::hash::fnv1a_hex;
 use crate::json::{self, Json};
-use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, FaultPlan};
-
-/// Stable scheme keys accepted by the service (the same vocabulary the
-/// chaos fuzzer replays by; `Scheme::name` strings carry parameters and
-/// are not stable identifiers).
-pub const SCHEME_KEYS: [&str; 5] = ["reference", "instance", "statement", "process", "barrier"];
+use datasync_schemes::cell::{self, Cell, DEFAULT_GEOMETRY, SCHEME_KEYS};
+use datasync_sim::{CacheModel, FabricKind, FaultPlan};
 
 /// Version stamp written into every canonical cell document.
 pub const CELL_SPEC_VERSION: u64 = 1;
@@ -64,10 +60,6 @@ impl Default for CellSpec {
     }
 }
 
-/// Default cache geometry when a sweep names a protocol without one
-/// (sets × assoc × line words).
-const DEFAULT_GEOMETRY: (u32, u32, u32) = (16, 2, 4);
-
 impl CellSpec {
     /// The canonical single-line JSON form: fixed field order, every
     /// field explicit (a cacheless cell writes zero geometry, matching
@@ -78,18 +70,15 @@ impl CellSpec {
     /// from older deployments stays valid. [`CellSpec::content_hash`]
     /// is defined over these bytes.
     pub fn canonical_json(&self) -> String {
-        let (cache_word, sets, assoc, line, sync_bit) = match self.cache {
-            CacheModel::None => ("none".to_string(), 0, 0, 0, 0),
-            CacheModel::Private { protocol, sets, assoc, line_words, cache_sync, .. } => {
-                (protocol.to_string(), sets, assoc, line_words, u32::from(cache_sync))
-            }
-        };
-        let geometry = match self.fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => format!(
+        let (cache_word, [sets, assoc, line, sync_bit]) = cell::cache_fields(self.cache);
+        let [clusters, bridge_latency, coalesce_window] = cell::cluster_fields(self.fabric);
+        let geometry = if self.fabric.is_clustered() {
+            format!(
                 "\"clusters\":{clusters},\"bridge_latency\":{bridge_latency},\
                  \"coalesce_window\":{coalesce_window},"
-            ),
-            _ => String::new(),
+            )
+        } else {
+            String::new()
         };
         format!(
             "{{\"cell_spec\":{},\"scheme\":\"{}\",\"fabric\":\"{}\",{}\"iterations\":{},\
@@ -160,58 +149,17 @@ impl CellSpec {
             }
         }
         let d = CellSpec::default();
-        let str_field = |key: &str, default: &str| -> Result<String, String> {
-            match doc.get(key) {
-                None => Ok(default.to_string()),
-                Some(v) => {
-                    v.as_str().map(str::to_string).ok_or(format!("`{key}` must be a string"))
-                }
-            }
-        };
-        let num_field = |key: &str, default: u64| -> Result<u64, String> {
-            match doc.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or(format!("`{key}` must be a non-negative integer")),
-            }
-        };
-        let fabric_name = str_field("fabric", "dedicated")?;
-        let mut fabric = FabricKind::parse(&fabric_name)
-            .ok_or_else(|| format!("unknown fabric `{fabric_name}`"))?;
-        match &mut fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
-                *clusters = num_field("clusters", u64::from(*clusters))? as u32;
-                *bridge_latency = num_field("bridge_latency", u64::from(*bridge_latency))? as u32;
-                *coalesce_window =
-                    num_field("coalesce_window", u64::from(*coalesce_window))? as u32;
-            }
-            _ => {
-                // Cluster geometry on a flat fabric is moot: type-check
-                // it, then normalize it away — the same rule cacheless
-                // cells apply to cache geometry.
-                num_field("clusters", 0)?;
-                num_field("bridge_latency", 0)?;
-                num_field("coalesce_window", 0)?;
-            }
-        }
-        let cache_word = str_field("cache", "none")?;
-        let cache = parse_cache_word(
-            &cache_word,
-            num_field("cache_sets", u64::from(DEFAULT_GEOMETRY.0))? as u32,
-            num_field("cache_assoc", u64::from(DEFAULT_GEOMETRY.1))? as u32,
-            num_field("cache_line", u64::from(DEFAULT_GEOMETRY.2))? as u32,
-            num_field("cache_sync", 1)? != 0,
-        )?;
         let spec = CellSpec {
-            scheme: str_field("scheme", &d.scheme)?,
-            fabric,
+            scheme: cell::str_field(doc, "scheme")?.unwrap_or(&d.scheme).to_string(),
+            fabric: cell::fabric_from_json(doc)?,
             iterations: doc.get("iterations").map_or(Ok(d.iterations), |v| {
                 v.as_i64().ok_or("`iterations` must be an integer")
             })?,
-            processors: num_field("processors", d.processors as u64)? as usize,
-            cache,
-            fault_pct: num_field("fault_pct", u64::from(d.fault_pct))? as u32,
-            seed: num_field("seed", d.seed)?,
-            deadline_cycles: num_field("deadline_cycles", d.deadline_cycles)?,
+            processors: cell::num_field(doc, "processors")?.unwrap_or(d.processors),
+            cache: cell::cache_from_json(doc)?,
+            fault_pct: cell::num_field(doc, "fault_pct")?.unwrap_or(d.fault_pct),
+            seed: cell::num_field(doc, "seed")?.unwrap_or(d.seed),
+            deadline_cycles: cell::num_field(doc, "deadline_cycles")?.unwrap_or(d.deadline_cycles),
         };
         spec.validate()?;
         Ok(spec)
@@ -249,6 +197,20 @@ impl CellSpec {
             FaultPlan::chaos(self.seed, self.fault_pct)
         } else {
             FaultPlan { seed: self.seed, ..FaultPlan::none() }
+        }
+    }
+
+    /// The replayable [`Cell`] this spec describes: the same scheme and
+    /// machine with `fault_pct` + `seed` expanded into the fault plan.
+    /// The service compiles, runs and quarantines a cell through it.
+    pub fn cell(&self) -> Cell {
+        Cell {
+            scheme: self.scheme.clone(),
+            fabric: self.fabric,
+            iterations: self.iterations,
+            processors: self.processors,
+            cache: self.cache,
+            plan: self.fault_plan(),
         }
     }
 }
@@ -314,24 +276,6 @@ fn check_fault_pct(fault_pct: u32) -> Result<(), String> {
         return Err(format!("fault_pct must be 0..=100, got {fault_pct}"));
     }
     Ok(())
-}
-
-/// Builds a [`CacheModel`] from the wire vocabulary (`none` or a
-/// protocol name plus geometry).
-fn parse_cache_word(
-    word: &str,
-    sets: u32,
-    assoc: u32,
-    line: u32,
-    cache_sync: bool,
-) -> Result<CacheModel, String> {
-    if word == "none" {
-        return Ok(CacheModel::None);
-    }
-    let protocol =
-        CoherenceProtocol::parse(word).ok_or_else(|| format!("unknown cache `{word}`"))?;
-    let model = CacheModel::private(protocol).geometry(sets, assoc, line);
-    Ok(if cache_sync { model } else { model.sync_uncached() })
 }
 
 /// A sweep request: lists per axis, expanded as a full cross product.
@@ -471,19 +415,13 @@ impl SweepSpec {
             caches: axis(doc, "caches", d.caches, |v| {
                 let word = v.as_str().ok_or("caches entries must be strings")?;
                 // Validate the vocabulary up front; geometry is defaulted.
-                parse_cache_word(word, 1, 1, 1, true).map(|_| word.to_string())
+                cell::cache_from_fields(word, DEFAULT_GEOMETRY, true).map(|_| word.to_string())
             })?,
             fault_pcts: axis(doc, "fault_pcts", d.fault_pcts, |v| {
                 v.as_u64().map(|n| n as u32).ok_or("fault_pcts entries must be integers".into())
             })?,
-            seed: match doc.get("seed") {
-                None => d.seed,
-                Some(v) => v.as_u64().ok_or("`seed` must be a non-negative integer")?,
-            },
-            deadline_cycles: match doc.get("deadline_cycles") {
-                None => d.deadline_cycles,
-                Some(v) => v.as_u64().ok_or("`deadline_cycles` must be a non-negative integer")?,
-            },
+            seed: cell::num_field(doc, "seed")?.unwrap_or(d.seed),
+            deadline_cycles: cell::num_field(doc, "deadline_cycles")?.unwrap_or(d.deadline_cycles),
         };
         // Validate every cell the grid implies — element-wise, never by
         // expanding: a small request body can cross-multiply into
@@ -555,15 +493,15 @@ impl SweepSpec {
     /// identically.
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::with_capacity(self.cell_count().min(1 << 20));
-        let (sets, assoc, line) = DEFAULT_GEOMETRY;
         for scheme in &self.schemes {
             for &fabric in &self.fabrics {
                 for &iterations in &self.iterations {
                     for &processors in &self.processors {
                         for cache_word in &self.caches {
                             for &fault_pct in &self.fault_pcts {
-                                let cache = parse_cache_word(cache_word, sets, assoc, line, true)
-                                    .unwrap_or(CacheModel::None);
+                                let cache =
+                                    cell::cache_from_fields(cache_word, DEFAULT_GEOMETRY, true)
+                                        .unwrap_or(CacheModel::None);
                                 cells.push(CellSpec {
                                     scheme: scheme.clone(),
                                     fabric,
@@ -587,6 +525,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datasync_sim::CoherenceProtocol;
 
     #[test]
     fn canonical_json_parses_back_to_the_same_cell() {
@@ -756,6 +695,29 @@ mod tests {
         assert!(CellSpec::parse(r#"{"fabric": "clustered", "clusters": 0}"#).is_err());
         assert!(CellSpec::parse(r#"{"fabric": "clustered", "bridge_latency": 0}"#).is_err());
         assert!(CellSpec::parse(r#"{"fabric": "dedicated", "clusters": "two"}"#).is_err());
+        assert!(CellSpec::parse(r#"{"fault_pct": 4294967297}"#).is_err());
+    }
+
+    #[test]
+    fn fractional_numbers_are_rejected_at_the_field_that_wants_an_integer() {
+        // The parser reads fractions (for the BENCH reports); no wire
+        // field accepts one, not even a whole-valued one.
+        for (bad, field) in [
+            (r#"{"seed": 1.5}"#, "seed"),
+            (r#"{"iterations": 1e3}"#, "iterations"),
+            (r#"{"processors": 4.0}"#, "processors"),
+        ] {
+            let err = CellSpec::parse(bad).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
+        for (bad, field) in [
+            (r#"{"seed": 1.5}"#, "seed"),
+            (r#"{"iterations": [1e3]}"#, "iterations"),
+            (r#"{"processors": [4.0]}"#, "processors"),
+        ] {
+            let err = SweepSpec::from_json(&json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -34,13 +34,8 @@ fn body_of(response: &str) -> &str {
 }
 
 fn stat_u64(stats_body: &str, key: &str) -> u64 {
-    stats_body
-        .split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| {
-            rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok()
-        })
-        .unwrap_or(u64::MAX)
+    let stats = datasync_serve::json::parse(stats_body.trim()).expect("/stats body is JSON");
+    stats.get(key).and_then(datasync_serve::json::Json::as_u64).unwrap_or(u64::MAX)
 }
 
 #[test]

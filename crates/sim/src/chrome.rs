@@ -20,6 +20,7 @@
 //! repo is dependency-free by policy).
 
 use crate::events::{EventRing, SimEventKind};
+use crate::json::escape;
 use crate::timeline::spans;
 use crate::trace::Trace;
 use std::fmt::Write as _;
@@ -269,29 +270,11 @@ impl Writer {
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::EventRing;
+    use crate::json::Json;
     use crate::program::Label;
 
     #[test]
@@ -333,22 +316,15 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_is_structurally_balanced() {
+    fn rendered_trace_parses_as_json() {
         let mut r = EventRing::with_capacity(8);
         r.record(1, SimEventKind::Dispatch { proc: 0, program: 0 });
         r.record(2, SimEventKind::WaitBegin { proc: 0, var: 0, through_memory: true });
         let json = render(&Trace::new(), &r, 1);
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "{json}");
-        let obrack = json.matches('[').count();
-        let cbrack = json.matches(']').count();
-        assert_eq!(obrack, cbrack, "{json}");
+        let doc = crate::json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
+        assert!(events.iter().all(|e| e.get("ph").and_then(Json::as_str).is_some()), "{json}");
+        let dropped = doc.get("otherData").and_then(|o| o.get("dropped_events"));
+        assert_eq!(dropped.and_then(Json::as_u64), Some(0));
     }
 }

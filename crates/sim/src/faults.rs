@@ -262,28 +262,35 @@ impl FaultPlan {
     /// chaos runs remain classifiable without recovery; permanent loss
     /// and fail-stop are swept as their own matrix rows.
     pub fn chaos(seed: u64, intensity: u32) -> Self {
-        let mut plan = Self::only(FaultClass::BroadcastDelay, seed, intensity);
-        for class in FaultClass::ALL[1..].iter().filter(|c| c.bounded()) {
-            let single = Self::only(*class, seed, intensity);
-            plan = Self {
-                seed,
-                broadcast_delay_pct: plan.broadcast_delay_pct,
-                broadcast_delay_max: plan.broadcast_delay_max,
-                broadcast_reorder_pct: plan.broadcast_reorder_pct.max(single.broadcast_reorder_pct),
-                broadcast_drop_pct: plan.broadcast_drop_pct.max(single.broadcast_drop_pct),
-                max_redeliveries: plan.max_redeliveries.max(single.max_redeliveries),
-                stale_image_pct: plan.stale_image_pct.max(single.stale_image_pct),
-                stale_window_max: plan.stale_window_max.max(single.stale_window_max),
-                stall_mean_interval: plan.stall_mean_interval.max(single.stall_mean_interval),
-                stall_max: plan.stall_max.max(single.stall_max),
-                data_jitter_pct: plan.data_jitter_pct.max(single.data_jitter_pct),
-                data_jitter_max: plan.data_jitter_max.max(single.data_jitter_max),
-                broadcast_loss_pct: 0,
-                fail_stop_procs: 0,
-                fail_stop_window: 0,
-            };
+        FaultClass::ALL
+            .into_iter()
+            .filter(|class| class.bounded())
+            .fold(Self { seed, ..Self::none() }, |plan, class| {
+                plan.overlay(Self::only(class, seed, intensity))
+            })
+    }
+
+    /// Composes two plans class by class: every field takes the larger
+    /// of the two values, the seed stays `self`'s.
+    #[must_use]
+    pub fn overlay(self, other: Self) -> Self {
+        Self {
+            seed: self.seed,
+            broadcast_delay_pct: self.broadcast_delay_pct.max(other.broadcast_delay_pct),
+            broadcast_delay_max: self.broadcast_delay_max.max(other.broadcast_delay_max),
+            broadcast_reorder_pct: self.broadcast_reorder_pct.max(other.broadcast_reorder_pct),
+            broadcast_drop_pct: self.broadcast_drop_pct.max(other.broadcast_drop_pct),
+            max_redeliveries: self.max_redeliveries.max(other.max_redeliveries),
+            stale_image_pct: self.stale_image_pct.max(other.stale_image_pct),
+            stale_window_max: self.stale_window_max.max(other.stale_window_max),
+            stall_mean_interval: self.stall_mean_interval.max(other.stall_mean_interval),
+            stall_max: self.stall_max.max(other.stall_max),
+            data_jitter_pct: self.data_jitter_pct.max(other.data_jitter_pct),
+            data_jitter_max: self.data_jitter_max.max(other.data_jitter_max),
+            broadcast_loss_pct: self.broadcast_loss_pct.max(other.broadcast_loss_pct),
+            fail_stop_procs: self.fail_stop_procs.max(other.fail_stop_procs),
+            fail_stop_window: self.fail_stop_window.max(other.fail_stop_window),
         }
-        plan
     }
 
     /// Returns the plan with a different seed (same intensities).

@@ -1,26 +1,31 @@
-//! A minimal JSON reader (hand-rolled like every serializer in this
-//! dependency-free workspace).
+//! The workspace's one JSON reader (hand-rolled like every serializer in
+//! this dependency-free workspace), in the leaf crate so `schemes`,
+//! `bench`, `serve` and the CLI all read documents through it.
 //!
-//! The service's request bodies and journal lines are small documents of
-//! objects, arrays, strings, booleans and **integer** numbers, so that
-//! is exactly what this parser accepts. Integers are carried as `i128`
-//! so the full `u64` seed range survives parsing (an `f64`-backed number
-//! type would silently round seeds above 2^53 — the content hash would
-//! then collide configs that differ only in their high seed bits).
-//! Fractions and exponents are rejected: no field of the wire format is
-//! fractional, and refusing them keeps number round-trips exact.
+//! The service's request bodies, journal lines and cell reproducers are
+//! small documents of objects, arrays, strings, booleans and **integer**
+//! numbers. Integer tokens are carried as `i128` so the full `u64` seed
+//! range survives parsing (an `f64`-backed number type would silently
+//! round seeds above 2^53 — the content hash would then collide configs
+//! that differ only in their high seed bits). A token with a fraction
+//! or an exponent (the `BENCH_*.json` reports carry rates and ratios)
+//! becomes [`Json::Real`], which only [`Json::as_f64`] reads: the
+//! integer getters refuse it, so `"seed": 1.5` is still rejected by
+//! every wire-format reader, at the field that asked for an integer.
 
 /// A parsed JSON value. Object member order is preserved (the canonical
-/// serializer in [`crate::spec`] depends on *emitting* a fixed order,
-/// never on the order it reads).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// cell serializer in `datasync_serve::spec` depends on *emitting* a
+/// fixed order, never on the order it reads).
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (the wire format has no fractional fields).
+    /// An integer token (the wire format has no fractional fields).
     Num(i128),
+    /// A number token with a fraction or an exponent; finite.
+    Real(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -52,6 +57,16 @@ impl Json {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Num(n) => i64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64`: any number, integer tokens included
+    /// (rounded to the nearest representable value past 2^53).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n as f64),
+            Json::Real(x) => Some(*x),
             _ => None,
         }
     }
@@ -94,7 +109,8 @@ impl Json {
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset on malformed
-/// input, non-integer numbers, or nesting deeper than 32 levels.
+/// input, numbers outside the `i128` / finite `f64` range, or nesting
+/// deeper than 32 levels.
 pub fn parse(doc: &str) -> Result<Json, String> {
     let mut p = Parser { bytes: doc.as_bytes(), at: 0 };
     p.skip_ws();
@@ -159,23 +175,43 @@ impl Parser<'_> {
         }
     }
 
+    fn digits(&mut self) -> usize {
+        let start = self.at;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.at += 1;
+        }
+        self.at - start
+    }
+
     fn number(&mut self) -> Result<Json, String> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut malformed = self.digits() == 0;
+        let mut real = false;
+        if self.peek() == Some(b'.') {
             self.at += 1;
+            real = true;
+            malformed |= self.digits() == 0;
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(format!(
-                "non-integer number at byte {start} (the wire format has no fractional fields)"
-            ));
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.at += 1;
+            real = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.at += 1;
+            }
+            malformed |= self.digits() == 0;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("digits are utf-8");
-        text.parse::<i128>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number at byte {start}"))
+        let value = if malformed {
+            None
+        } else if real {
+            text.parse::<f64>().ok().filter(|x| x.is_finite()).map(Json::Real)
+        } else {
+            text.parse::<i128>().ok().map(Json::Num)
+        };
+        value.ok_or_else(|| format!("malformed number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -418,13 +454,33 @@ mod tests {
             "[1, ]",
             "{\"a\": 1} x",
             "nul",
-            "1.5",
-            "1e9",
+            "1.",
+            ".5",
+            "1e",
+            "1e+",
+            "-.5e1",
+            "1e999",
             "\"abc",
             "{\"a\": 01x}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn fractions_are_read_only_by_as_f64() {
+        let v = parse(r#"{"rate": 15957362.851, "big": 2.5e9, "neg": -3.0, "n": 4}"#).unwrap();
+        assert_eq!(v.get("rate").and_then(Json::as_f64), Some(15_957_362.851));
+        assert_eq!(v.get("big").and_then(Json::as_f64), Some(2.5e9));
+        assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-3.0));
+        assert_eq!(v.get("n").and_then(Json::as_f64), Some(4.0));
+        // A fraction never passes for an integer, even a whole one.
+        for key in ["rate", "big", "neg"] {
+            assert_eq!(v.get(key).and_then(Json::as_u64), None, "{key}");
+            assert_eq!(v.get(key).and_then(Json::as_i64), None, "{key}");
+        }
+        assert_eq!(parse("4.0").unwrap().as_u64(), None);
+        assert_eq!(parse("1e3").unwrap().as_i64(), None);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod chrome;
 pub mod config;
 pub mod events;
 pub mod faults;
+pub mod json;
 pub mod machine;
 pub mod metrics;
 pub mod program;

@@ -2,7 +2,9 @@
 //! crates (`cargo test -q` at the root runs only this package): the
 //! simulator kernel's two step modes must stay bit-identical, its
 //! lazy cycle accounting must conserve every cycle, and fault-free
-//! sync traffic must satisfy both conservation identities.
+//! sync traffic must satisfy both conservation identities. A cell the
+//! sweep service quarantines must reload, from its reproducer document
+//! alone, as exactly the cell that was run.
 //!
 //! One cell per sync fabric at P = 128 — above the wake calendar's
 //! scan threshold, so the bucket-ring `drain_due` path runs — under
@@ -19,7 +21,8 @@ use datasync_repro::loopir::analysis::analyze;
 use datasync_repro::loopir::space::IterSpace;
 use datasync_repro::loopir::workpatterns::fig21_loop;
 use datasync_repro::schemes::scheme::Scheme;
-use datasync_repro::schemes::{CompiledLoop, StatementOriented};
+use datasync_repro::schemes::{Cell, CompiledLoop, StatementOriented};
+use datasync_repro::serve::{run_cell, CellSpec};
 use datasync_repro::sim::{
     FabricKind, FaultPlan, MachineConfig, RecoveryPolicy, RunOutcome, StepMode, Workload,
 };
@@ -181,4 +184,18 @@ fn step_modes_are_bit_identical_and_every_cycle_is_accounted() {
             }
         }
     }
+}
+
+#[test]
+fn a_quarantined_clustered_cell_reloads_as_the_cell_that_ran() {
+    let spec = CellSpec {
+        fabric: FabricKind::Clustered { clusters: 2, bridge_latency: 3, coalesce_window: 7 },
+        processors: 2,
+        deadline_cycles: 1,
+        ..CellSpec::default()
+    };
+    let run = run_cell(&spec);
+    assert_eq!(run.record.status, "quarantined");
+    let doc = run.reproducer.expect("a quarantined cell carries its reproducer");
+    assert_eq!(Cell::from_json(&doc).expect("reproducer parses"), spec.cell(), "{doc}");
 }
