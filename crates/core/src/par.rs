@@ -9,9 +9,15 @@
 //! sweep runner and the robustness matrix parallelize without changing
 //! a single byte of their output.
 //!
+//! The calling thread works a share itself, so a map on `t` threads
+//! spawns `t - 1` and leaves none of them blocked in a join while the
+//! others compute.
+//!
 //! Nested calls degrade to serial execution (a global in-flight counter)
 //! so fan-out over tasks that themselves fan out cannot explode the
-//! thread count. `DATASYNC_THREADS` caps or disables parallelism
+//! thread count. The counter is one per process, not per call tree: of
+//! two unrelated callers that overlap, the later one maps serially too.
+//! `DATASYNC_THREADS` caps or disables parallelism
 //! (`DATASYNC_THREADS=1` forces serial — useful for baselines and
 //! debugging). A request above the machine's available parallelism is
 //! capped at it: the workers are pure CPU-bound simulation loops, so
@@ -100,8 +106,9 @@ pub fn default_threads() -> usize {
     available_threads()
 }
 
-/// Maps `f` over `items` on up to [`default_threads`] scoped threads;
-/// results keep input order. See [`par_map_threads`].
+/// Maps `f` over `items` on up to [`default_threads`] threads (the
+/// caller's included); results keep input order. See
+/// [`par_map_threads`].
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -111,14 +118,17 @@ where
     par_map_threads(default_threads(), items, f)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped threads, returning
-/// results in input order (bit-identical to the serial map). Runs
-/// serially when `threads <= 1`, when there is at most one item, or when
-/// called from inside another `par_map` (nested-parallelism guard).
+/// Maps `f` over `items` on up to `threads` threads, returning results in
+/// input order (bit-identical to the serial map). The calling thread
+/// takes one share of the work itself, so only `threads - 1` scoped
+/// workers are spawned and nobody sits blocked while the others compute.
+/// Runs serially when `threads <= 1`, when there is at most one item, or
+/// when called from inside another `par_map` (nested-parallelism guard).
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the scope joins every worker first).
+/// Propagates a panic from `f`, whichever thread ran it (the scope joins
+/// every worker first).
 pub fn par_map_threads<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -136,19 +146,21 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let share = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let item = slots[i].lock().expect("slot lock").take().expect("slot taken once");
+        let r = f(item);
+        *results[i].lock().expect("result lock") = Some(r);
+    };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().expect("slot lock").take().expect("slot taken once");
-                    let r = f(item);
-                    *results[i].lock().expect("result lock") = Some(r);
-                });
+            for _ in 1..threads {
+                s.spawn(share);
             }
+            share();
         });
     }));
     IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
@@ -196,8 +208,17 @@ mod tests {
         assert!(default_threads() <= available_threads());
     }
 
+    /// `IN_FLIGHT` is process-global and the test harness runs tests on
+    /// several threads: every test that enters the parallel path holds
+    /// this, so each sees the guard at rest and really fans out.
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        static PARALLEL_TESTS: Mutex<()> = Mutex::new(());
+        PARALLEL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn preserves_order_and_results() {
+        let _quiet = exclusive();
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1, 2, 4, 7] {
@@ -214,6 +235,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_serially() {
+        let _quiet = exclusive();
         let outer = par_map_threads(2, vec![1u64, 2, 3, 4], |x| {
             let inner = par_map_threads(2, vec![10u64, 20], move |y| y + x);
             inner.iter().sum::<u64>()
@@ -223,22 +245,64 @@ mod tests {
 
     #[test]
     fn moves_non_clone_items() {
+        let _quiet = exclusive();
         let items: Vec<Box<u64>> = (0..16).map(Box::new).collect();
         let got = par_map_threads(3, items, |b| *b * 2);
         assert_eq!(got, (0..16).map(|x| x * 2).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            par_map_threads(2, vec![0u32, 1, 2, 3], |x| {
-                assert_ne!(x, 2, "boom");
+    fn the_caller_works_a_share_beside_one_worker_fewer() {
+        let _quiet = exclusive();
+        let caller = std::thread::current().id();
+        for threads in [2usize, 3, 5] {
+            // The first `threads` items meet at a barrier, so that many
+            // distinct threads must each be holding one: with only
+            // `threads - 1` spawned, the caller has to be among them.
+            let rendezvous = std::sync::Barrier::new(threads);
+            let seen = Mutex::new(std::collections::HashSet::new());
+            let got = par_map_threads(threads, (0..40usize).collect(), |i| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                if i < threads {
+                    rendezvous.wait();
+                }
+                i * 3
+            });
+            assert_eq!(got, (0..40).map(|i| i * 3).collect::<Vec<_>>(), "input order");
+            let seen = seen.into_inner().unwrap();
+            assert!(seen.contains(&caller), "threads = {threads}: the caller took no share");
+            assert_eq!(seen.len() - 1, threads - 1, "threads = {threads}: spawned workers");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_either_share_propagates_and_releases_the_guard() {
+        let _quiet = exclusive();
+        let caller = std::thread::current().id();
+        for in_callers_share in [true, false] {
+            // Both threads hold an item before either may panic, so the
+            // chosen share is sure to be the one that blows up.
+            let rendezvous = std::sync::Barrier::new(2);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_map_threads(2, vec![0u32, 1, 2, 3], |x| {
+                    if x < 2 {
+                        rendezvous.wait();
+                    }
+                    let mine = std::thread::current().id() == caller;
+                    assert_ne!(mine, in_callers_share, "boom");
+                    x
+                })
+            }));
+            assert!(r.is_err(), "caller's share = {in_callers_share}");
+            assert_eq!(IN_FLIGHT.load(Ordering::Relaxed), 0, "caller's share = {in_callers_share}");
+            // Released: the next call fans out again instead of
+            // mistaking itself for a nested one.
+            let rendezvous = std::sync::Barrier::new(2);
+            let got = par_map_threads(2, vec![1u32, 2], |x| {
+                rendezvous.wait();
                 x
-            })
-        });
-        assert!(r.is_err());
-        // The guard must be released despite the panic.
-        assert_eq!(IN_FLIGHT.load(Ordering::Relaxed), 0);
-        assert_eq!(par_map_threads(2, vec![1u32, 2], |x| x), vec![1, 2]);
+            });
+            assert_eq!(got, vec![1, 2]);
+        }
     }
 }

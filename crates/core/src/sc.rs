@@ -173,32 +173,34 @@ impl ScPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as Cell;
-    use std::sync::Mutex;
 
     #[test]
     fn advance_serializes_iterations() {
         // Iterations advancing one SC from many threads must form the
-        // strict sequence 0, 1, 2, ...
+        // strict sequence 0, 1, 2, ... The counter is the log: it may
+        // not pass `pid` before iteration `pid` advances (so on entry
+        // it reads at most `pid`, and exactly `pid` once every earlier
+        // iteration is through), and it never falls back below
+        // `pid + 1` afterwards. Iterations are dealt round-robin, so
+        // every `advance` past the first really waits on another thread.
+        const THREADS: u64 = 4;
+        const ITERATIONS: u64 = 200;
         let scs = ScPool::new(1);
-        let log = Mutex::new(Vec::new());
-        let next = Cell::new(0);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                let (scs, log, next) = (&scs, &log, &next);
-                s.spawn(move || loop {
-                    let pid = next.fetch_add(1, Ordering::Relaxed);
-                    if pid >= 200 {
-                        return;
+            for first in 0..THREADS {
+                let scs = &scs;
+                s.spawn(move || {
+                    for pid in (first..ITERATIONS).step_by(THREADS as usize) {
+                        let entry = scs.load(0);
+                        assert!(entry <= pid, "iteration {pid} was overtaken: SC = {entry}");
+                        scs.advance(0, pid);
+                        let after = scs.load(0);
+                        assert!(after > pid, "iteration {pid}'s Advance was undone: SC = {after}");
                     }
-                    scs.advance(0, pid);
-                    log.lock().unwrap().push(pid);
                 });
             }
         });
-        let log = log.into_inner().unwrap();
-        assert_eq!(log.len(), 200);
-        assert!(log.windows(2).all(|w| w[0] < w[1]), "Advance must serialize");
-        assert_eq!(scs.load(0), 200);
+        assert_eq!(scs.load(0), ITERATIONS);
     }
 
     #[test]

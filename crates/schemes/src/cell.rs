@@ -64,19 +64,29 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Compiles the Fig 2.1 loop under the cell's scheme and builds its
-    /// machine: full recovery ladder, the scheme's natural transport,
-    /// and a cycle budget scaled to the workload.
+    /// Compiles the Fig 2.1 loop under the cell's scheme. The result
+    /// depends on `scheme`, `iterations` and `processors` and on nothing
+    /// else, so cells that agree on those three can share it.
     ///
     /// # Errors
     ///
     /// Reports an unknown or ill-formed scheme key (see [`scheme_for`]).
-    pub fn compile(&self) -> Result<(CompiledLoop, MachineConfig), String> {
+    pub fn compile_loop(&self) -> Result<CompiledLoop, String> {
         let scheme = scheme_for(&self.scheme, self.processors)?;
         let nest = fig21_loop(self.iterations);
-        let compiled = scheme.compile(&nest, &analyze(&nest), &IterSpace::of(&nest));
+        Ok(scheme.compile(&nest, &analyze(&nest), &IterSpace::of(&nest)))
+    }
+
+    /// The machine the cell runs `compiled` on: full recovery ladder,
+    /// the scheme's natural transport, and a cycle budget scaled to the
+    /// workload.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unknown or ill-formed scheme key (see [`scheme_for`]).
+    pub fn machine(&self, compiled: &CompiledLoop) -> Result<MachineConfig, String> {
         let mut config = MachineConfig {
-            sync_transport: scheme.natural_transport(),
+            sync_transport: scheme_for(&self.scheme, self.processors)?.natural_transport(),
             sync_fabric: self.fabric,
             recovery: RecoveryPolicy::Full,
             cache: self.cache,
@@ -86,6 +96,17 @@ impl Cell {
         config.max_cycles = config
             .max_cycles
             .max(config.scaled_max_cycles(compiled.workload.programs.len()));
+        Ok(config)
+    }
+
+    /// [`Cell::compile_loop`], then [`Cell::machine`] for it.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unknown or ill-formed scheme key (see [`scheme_for`]).
+    pub fn compile(&self) -> Result<(CompiledLoop, MachineConfig), String> {
+        let compiled = self.compile_loop()?;
+        let config = self.machine(&compiled)?;
         Ok((compiled, config))
     }
 

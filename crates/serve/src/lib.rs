@@ -22,9 +22,10 @@
 //! | checksummed journal + resume | [`journal`], [`store`] | watchdog image repair |
 //! | content-addressed memo cache | [`spec`], [`store`] | — (determinism dividend) |
 //!
-//! The crate is std-only like the rest of the workspace: a blocking
-//! `TcpListener` polled non-blockingly, worker threads per connection,
-//! and `core/par.rs` fanning cells across cores.
+//! The crate is std-only like the rest of the workspace: a
+//! `TcpListener` blocked in `accept` (a drain wakes it with a loopback
+//! connection), worker threads per connection, and `core/par.rs`
+//! fanning cells across cores.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,7 +45,7 @@ pub mod store;
 /// `datasync_serve::json::{parse, Json, escape}` stay valid paths.
 pub use datasync_sim::json;
 pub use record::{CellRecord, RECORD_SCHEMA_VERSION};
-pub use runner::{run_cell, CellRun};
+pub use runner::{run_cell, run_cells, CellRun};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle, SERVE_SCHEMA_VERSION};
 pub use spec::{CellSpec, SweepSpec};
 pub use store::RunStore;

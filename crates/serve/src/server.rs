@@ -1,11 +1,11 @@
 //! The sweep-as-a-service server: accept loop, routing, streaming.
 //!
-//! One `TcpListener` in non-blocking mode is polled by the accept loop
-//! (so SIGTERM is noticed within ~15 ms even with no traffic); each
-//! accepted connection gets a worker thread that reads exactly one
-//! request and answers it — no async runtime, in line with the
-//! workspace's thread-per-unit-of-work pattern (`core/par.rs` runs the
-//! cells themselves). Routes:
+//! The accept loop blocks in `accept` on one `TcpListener`: an idle
+//! server costs nothing and a request waits for no poll. Each accepted
+//! connection gets a worker thread that reads exactly one request and
+//! answers it — no async runtime, in line with the workspace's
+//! thread-per-unit-of-work pattern (`core/par.rs` runs the cells
+//! themselves). Routes:
 //!
 //! | Route | Answer |
 //! |---|---|
@@ -21,26 +21,33 @@
 //! of the same sweep (cached, resumed, or cold) can be compared for
 //! byte identity with one string.
 //!
-//! Graceful drain: the accept loop stops taking connections, in-flight
-//! requests run to completion (every completed cell is already
-//! journaled before its line is streamed), then the server returns its
-//! summary. A `kill -9` instead loses at most the journal line being
-//! written — the store tolerates that as a truncated tail on restart.
+//! Graceful drain: whoever requests one sets a flag and then opens a
+//! loopback connection to the listener, which is what gets the accept
+//! loop out of `accept` to see the flag. [`ServerHandle::stop`] and the
+//! `POST /shutdown` handler do both themselves; a signal handler may
+//! only store the flag, so with `watch_signals` a watcher thread sleeps
+//! beside the loop and connects once SIGTERM/SIGINT has set it. The
+//! loop looks at the flag after every `accept` and drops the connection
+//! in its hand when it is set, unread and uncounted (the wake-up, or a
+//! client that raced it and sees a closed socket, as it would a moment
+//! later). Then in-flight requests run to completion (every completed
+//! cell is already journaled before its line is streamed) and the server
+//! returns its summary. A `kill -9` instead loses at most the journal
+//! line being written — the store tolerates that as a truncated tail on
+//! restart.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use datasync_core::par::par_map;
-
 use crate::http::{self, Request};
 use crate::json;
 use crate::queue::Admission;
 use crate::record::CellRecord;
-use crate::runner::run_cell;
+use crate::runner::run_cells;
 use crate::spec::SweepSpec;
 use crate::store::RunStore;
 use crate::{hash, signal};
@@ -52,10 +59,6 @@ pub const SERVE_SCHEMA_VERSION: u64 = 1;
 /// enough that lines stream steadily and admission slots free up as
 /// work completes, large enough to keep every core busy.
 const CHUNK_CELLS: usize = 64;
-
-/// How long the accept loop sleeps when idle (also the SIGTERM
-/// detection latency floor).
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
 
 /// Hard ceiling on the post-drain wait for in-flight connections.
 const DRAIN_WAIT: Duration = Duration::from_secs(60);
@@ -148,6 +151,7 @@ pub struct ServeSummary {
 #[derive(Debug)]
 struct Shared {
     config: ServeConfig,
+    addr: SocketAddr,
     store: Mutex<RunStore>,
     admission: Admission,
     counters: Counters,
@@ -160,13 +164,28 @@ impl Shared {
         self.local_shutdown.load(Ordering::SeqCst)
             || (self.config.watch_signals && signal::shutdown_requested())
     }
+
+    /// Gets the accept loop out of `accept` so that it sees a drain
+    /// flag set just before: one loopback connection, dropped unused. A
+    /// listener on the wildcard address is reached through its family's
+    /// loopback. Failure is ignored — nothing answers only once the
+    /// listener is closed, and then the loop has already left.
+    fn wake_accept(&self) {
+        let mut target = self.addr;
+        if target.ip().is_unspecified() {
+            target.set_ip(match target {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(target);
+    }
 }
 
 /// A bound, not-yet-running server.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
     shared: Arc<Shared>,
 }
 
@@ -175,7 +194,6 @@ pub struct Server {
 /// thread).
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     thread: std::thread::JoinHandle<ServeSummary>,
 }
@@ -183,7 +201,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The server's admission valve (a handle onto the shared counter).
@@ -197,6 +215,7 @@ impl ServerHandle {
     /// Requests a graceful drain and waits for the server to finish.
     pub fn stop(self) -> ServeSummary {
         self.shared.local_shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_accept();
         self.thread.join().unwrap_or(ServeSummary {
             requests: 0,
             sweeps: 0,
@@ -221,9 +240,6 @@ impl Server {
             .map_err(|e| format!("cannot open state dir '{}': {e}", config.state_dir.display()))?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind '{}': {e}", config.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set non-blocking accept: {e}"))?;
         let addr = listener.local_addr().map_err(|e| format!("no local addr: {e}"))?;
         let admission = Admission::new(config.queue_cap);
         let shared = Arc::new(Shared {
@@ -233,13 +249,14 @@ impl Server {
             local_shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             config,
+            addr,
         });
-        Ok(Server { listener, addr, shared })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// One line of boot telemetry for the operator: cache size and any
@@ -249,7 +266,7 @@ impl Server {
         let load = store.load_report();
         let mut line = format!(
             "listening on {} — {} cached records ({} poisoned) replayed",
-            self.addr,
+            self.shared.addr,
             store.len(),
             store.poisoned()
         );
@@ -268,14 +285,25 @@ impl Server {
     /// Runs the accept loop until a drain is requested, drains, and
     /// returns the lifetime summary.
     pub fn run(self) -> ServeSummary {
-        let Server { listener, shared, .. } = self;
+        let Server { listener, shared } = self;
+        // A signal handler can only store its flag; this thread is who
+        // turns that store into a wake-up (and leaves quietly when the
+        // drain comes from somewhere else).
+        let watcher = shared.config.watch_signals.then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                if signal::wait_for_shutdown(|| shared.local_shutdown.load(Ordering::SeqCst)) {
+                    shared.wake_accept();
+                }
+            })
+        });
         loop {
+            let accepted = listener.accept();
             if shared.draining() {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(false);
                     shared.open_conns.fetch_add(1, Ordering::SeqCst);
                     let conn_shared = Arc::clone(&shared);
                     std::thread::spawn(move || {
@@ -283,13 +311,16 @@ impl Server {
                         handle_connection(&conn_shared, stream);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+                // Out of descriptors, or a peer that reset before it was
+                // accepted: neither clears by asking again at once.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         }
         // Drain: no new connections; let in-flight requests finish.
+        drop(listener);
+        if let Some(watcher) = watcher {
+            let _ = watcher.join();
+        }
         let deadline = Instant::now() + DRAIN_WAIT;
         while shared.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -314,10 +345,9 @@ impl Server {
     /// Propagates [`Server::bind`] failures.
     pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
         let server = Server::bind(config)?;
-        let addr = server.addr();
         let shared = Arc::clone(&server.shared);
         let thread = std::thread::spawn(move || server.run());
-        Ok(ServerHandle { addr, shared, thread })
+        Ok(ServerHandle { shared, thread })
     }
 }
 
@@ -352,8 +382,10 @@ fn route(shared: &Shared, stream: &mut TcpStream, request: &Request) {
             http::respond(stream, 200, "application/json", &body);
         }
         ("POST", "/shutdown") => {
+            // Answer first, wake second: the caller always reads its 200.
             shared.local_shutdown.store(true, Ordering::SeqCst);
             http::respond(stream, 200, "application/json", "{\"ok\":true,\"draining\":true}\n");
+            shared.wake_accept();
         }
         ("POST", "/sweep") => handle_sweep(shared, stream, &request.body),
         _ => http::respond_error(
@@ -453,7 +485,7 @@ fn handle_sweep(shared: &Shared, stream: &mut TcpStream, body: &str) {
     for chunk in cells.chunks(CHUNK_CELLS) {
         // Pass 1 (under the store lock): serve cache hits, collect misses.
         let mut lines: Vec<Option<(CellRecord, bool)>> = vec![None; chunk.len()];
-        let mut misses: Vec<(usize, crate::spec::CellSpec)> = Vec::new();
+        let (mut miss_slots, mut misses) = (Vec::new(), Vec::new());
         {
             let store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
             for (i, spec) in chunk.iter().enumerate() {
@@ -464,17 +496,20 @@ fn handle_sweep(shared: &Shared, stream: &mut TcpStream, body: &str) {
                         }
                         lines[i] = Some((rec.clone(), true));
                     }
-                    None => misses.push((i, spec.clone())),
+                    None => {
+                        miss_slots.push(i);
+                        misses.push(spec.clone());
+                    }
                 }
             }
         }
         // Pass 2 (no lock): compute the misses across cores.
-        let runs = par_map(misses, |(i, spec)| (i, run_cell(&spec)));
+        let runs = run_cells(misses);
         // Pass 3 (under the lock): journal before streaming — a line a
         // client has seen is always durable.
         {
             let mut store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, run) in runs {
+            for (i, run) in miss_slots.into_iter().zip(runs) {
                 if let Some(reproducer) = &run.reproducer {
                     let _ = store.write_reproducer(&run.record.hash, reproducer);
                 }
@@ -731,5 +766,177 @@ mod tests {
         assert_eq!(summary.shed, 3);
         assert!(summary.drained_clean, "shedding must not wedge the drain");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The server's lifetime summary once something other than `stop`
+    /// has asked it to drain.
+    fn join(handle: ServerHandle) -> ServeSummary {
+        handle.thread.join().expect("server thread")
+    }
+
+    fn stat(stats_response: &str, key: &str) -> u64 {
+        let doc = json::parse(body_of(stats_response).trim()).expect("/stats is JSON");
+        doc.get(key).and_then(json::Json::as_u64).expect(key)
+    }
+
+    #[test]
+    fn an_idle_server_drains_on_stop() {
+        for watch_signals in [false, true] {
+            let _flag = signal::flag_lock();
+            signal::reset();
+            let cfg = ServeConfig { watch_signals, ..config("drain-stop") };
+            let dir = cfg.state_dir.clone();
+            let summary = Server::spawn(cfg).expect("spawn").stop();
+            assert!(summary.drained_clean);
+            assert_eq!(summary.requests, 0, "the wake-up is not a request");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn an_idle_server_drains_on_post_shutdown_after_answering_it() {
+        let cfg = config("drain-post");
+        let dir = cfg.state_dir.clone();
+        let handle = Server::spawn(cfg).expect("spawn");
+        let stats = request(handle.addr(), "GET", "/stats", "");
+        assert_eq!(stat(&stats, "requests"), 1, "{stats}");
+        let bye = request(handle.addr(), "POST", "/shutdown", "");
+        assert!(bye.starts_with("HTTP/1.1 200"), "{bye}");
+        assert!(body_of(&bye).contains("\"draining\":true"), "{bye}");
+        let summary = join(handle);
+        assert!(summary.drained_clean);
+        assert_eq!(summary.requests, 2, "/stats and /shutdown, not the wake-up");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_signal_flag_drains_the_server_that_watches_it_and_no_other() {
+        let _flag = signal::flag_lock();
+        signal::reset();
+        let watching = ServeConfig { watch_signals: true, ..config("drain-signal") };
+        let deaf = config("drain-deaf");
+        let dirs = [watching.state_dir.clone(), deaf.state_dir.clone()];
+        let watching = Server::spawn(watching).expect("spawn");
+        let deaf = Server::spawn(deaf).expect("spawn");
+        let ok = request(watching.addr(), "GET", "/healthz", "");
+        assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+        signal::request_shutdown();
+        let summary = join(watching);
+        assert!(summary.drained_clean);
+        assert_eq!(summary.requests, 1, "the wake-up is not a request");
+        let ok = request(deaf.addr(), "GET", "/healthz", "");
+        assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+        signal::reset();
+        assert_eq!(deaf.stop().requests, 1);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_wildcard_listener_is_woken_through_its_loopback() {
+        for (wildcard, loopback) in [("0.0.0.0:0", "127.0.0.1:0"), ("[::]:0", "[::1]:0")] {
+            if TcpListener::bind(loopback).is_err() {
+                assert_ne!(loopback, "127.0.0.1:0", "no IPv4 loopback");
+                continue; // this host has no IPv6
+            }
+            let cfg = ServeConfig { addr: wildcard.into(), ..config("drain-wildcard") };
+            let dir = cfg.state_dir.clone();
+            let handle = Server::spawn(cfg).expect("spawn");
+            assert!(handle.addr().ip().is_unspecified());
+            assert!(handle.stop().drained_clean, "{wildcard}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_silent_client_holds_up_neither_accept_nor_the_drain() {
+        let cfg = config("silent");
+        let dir = cfg.state_dir.clone();
+        let handle = Server::spawn(cfg).expect("spawn");
+        let mut silent = TcpStream::connect(handle.addr()).expect("connect");
+        // Its worker is now waiting for bytes; the accept loop is not.
+        let ok = request(handle.addr(), "GET", "/healthz", "");
+        assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+        // The drain waits for that worker, which gives up on its own.
+        let summary = handle.stop();
+        assert!(summary.drained_clean, "the read timeout bounds what a mute client can hold");
+        assert_eq!(summary.requests, 2);
+        let mut answer = String::new();
+        silent.read_to_string(&mut answer).expect("read");
+        assert!(answer.starts_with("HTTP/1.1 408"), "{answer}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What `handle_sweep` streams and stores for `body`, built from
+    /// [`run_cell`] on one cell at a time: the cell lines and the
+    /// aggregate hash.
+    fn one_cell_at_a_time(body: &str, store: &mut RunStore) -> (Vec<String>, String) {
+        let sweep = SweepSpec::from_json(&json::parse(body).expect("json")).expect("sweep");
+        let mut aggregate = hash::fnv1a_seed();
+        let mut lines = Vec::new();
+        for spec in sweep.expand() {
+            let run = crate::runner::run_cell(&spec);
+            if let Some(reproducer) = &run.reproducer {
+                store.write_reproducer(&run.record.hash, reproducer).expect("reproducer");
+            }
+            let rec_json = run.record.to_json();
+            store.insert(run.record).expect("journal");
+            aggregate = hash::fold(hash::fold(aggregate, rec_json.as_bytes()), b"\n");
+            lines.push(format!("{{\"cell\":{rec_json},\"cached\":false}}"));
+        }
+        (lines, format!("{aggregate:016x}"))
+    }
+
+    /// Every file under `dir`, by relative path.
+    fn files_under(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            for entry in std::fs::read_dir(&at).expect("read_dir") {
+                let path = entry.expect("entry").path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                    files.push((rel, std::fs::read(&path).expect("read")));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn sharing_a_compiled_loop_changes_no_byte_a_client_or_the_disk_sees() {
+        // Two chunks' worth of cells in which every (scheme, N, P) is
+        // shared by four, then one cell that can only be quarantined.
+        let grid = r#"{"schemes": ["reference", "instance", "statement", "process", "barrier"],
+            "iterations": [6, 9], "processors": [2, 4], "caches": ["none", "mesi"],
+            "fault_pcts": [0, 30], "seed": 23}"#;
+        let starved = r#"{"iterations": [7], "deadline_cycles": 1, "seed": 23}"#;
+        let cfg = config("memo-served");
+        let served_dir = cfg.state_dir.clone();
+        let handle = Server::spawn(cfg).expect("spawn");
+        let alone_dir = temp_dir("memo-alone");
+        let mut alone = RunStore::open(&alone_dir).expect("store");
+        for (body, cells) in [(grid, 80), (starved, 1)] {
+            let response = request(handle.addr(), "POST", "/sweep", body);
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            let (lines, aggregate) = one_cell_at_a_time(body, &mut alone);
+            let streamed: Vec<&str> = body_of(&response).lines().collect();
+            assert_eq!(streamed.len(), cells + 1);
+            assert_eq!(streamed[..cells], lines[..], "cell lines");
+            assert_eq!(aggregate_hash(&response), aggregate);
+        }
+        let summary = handle.stop();
+        assert_eq!((summary.cells_computed, summary.cells_quarantined), (81, 1));
+        drop(alone);
+        let served = files_under(&served_dir);
+        let names: Vec<&PathBuf> = served.iter().map(|(name, _)| name).collect();
+        assert_eq!(served.len(), 2, "the journal and one reproducer: {names:?}");
+        assert!(served == files_under(&alone_dir), "journal or reproducer bytes differ");
+        let _ = std::fs::remove_dir_all(&served_dir);
+        let _ = std::fs::remove_dir_all(&alone_dir);
     }
 }

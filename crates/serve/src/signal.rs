@@ -1,11 +1,13 @@
 //! Graceful-drain signal plumbing, dependency-free.
 //!
-//! `SIGTERM`/`SIGINT` flip one `AtomicBool` that the accept loop polls;
-//! nothing else happens in the handler (an async-signal-safe store is
-//! all POSIX allows). The binding goes straight to libc's `signal`
-//! symbol — std already links libc on unix, and the workspace policy
-//! rules out the `libc` crate. Non-unix builds get a no-op install and
-//! rely on `POST /shutdown`.
+//! `SIGTERM`/`SIGINT` flip one `AtomicBool`; nothing else happens in
+//! the handler (an async-signal-safe store is all POSIX allows). The
+//! accept loop blocks in `accept`, which a store cannot interrupt, so a
+//! server that honors signals runs [`wait_for_shutdown`] on a watcher
+//! thread and lets that thread do the waking. The binding goes straight
+//! to libc's `signal` symbol — std already links libc on unix, and the
+//! workspace policy rules out the `libc` crate. Non-unix builds get a
+//! no-op install and rely on `POST /shutdown`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -20,6 +22,22 @@ pub fn shutdown_requested() -> bool {
 /// tests).
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
+}
+
+/// Sleeps until a signal has requested a drain (`true`) or `cancelled`
+/// says nobody is waiting for one any more (`false`). Looking at the
+/// flag a few dozen times a second is the whole cost of signal handling;
+/// it is paid here, off the request path.
+pub fn wait_for_shutdown(cancelled: impl Fn() -> bool) -> bool {
+    loop {
+        if shutdown_requested() {
+            return true;
+        }
+        if cancelled() {
+            return false;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
 }
 
 /// Re-arms the flag (tests that start several servers in one process).
@@ -63,18 +81,38 @@ pub fn install_handlers() {
     imp::install();
 }
 
+/// The flag is one per process and the test harness runs tests on
+/// several threads: whoever flips it, here or in `server.rs`, holds this.
+#[cfg(test)]
+pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static FLAG_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    FLAG_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn the_flag_flips_and_resets() {
+        let _flag = flag_lock();
         reset();
         assert!(!shutdown_requested());
         request_shutdown();
         assert!(shutdown_requested());
         reset();
         assert!(!shutdown_requested());
+    }
+
+    #[test]
+    fn the_watcher_tells_a_signal_from_a_cancellation() {
+        let _flag = flag_lock();
+        reset();
+        assert!(!wait_for_shutdown(|| true), "cancelled before any signal");
+        request_shutdown();
+        assert!(wait_for_shutdown(|| false));
+        assert!(wait_for_shutdown(|| true), "a signal that has arrived wins");
+        reset();
     }
 
     #[cfg(unix)]

@@ -4,7 +4,9 @@
 //! lazy cycle accounting must conserve every cycle, and fault-free
 //! sync traffic must satisfy both conservation identities. A cell the
 //! sweep service quarantines must reload, from its reproducer document
-//! alone, as exactly the cell that was run.
+//! alone, as exactly the cell that was run, and a sweep the service
+//! has journaled must come back from a second server over the same
+//! state directory with nothing recomputed and the same bytes.
 //!
 //! One cell per sync fabric at P = 128 — above the wake calendar's
 //! scan threshold, so the bucket-ring `drain_due` path runs — under
@@ -22,7 +24,7 @@ use datasync_repro::loopir::space::IterSpace;
 use datasync_repro::loopir::workpatterns::fig21_loop;
 use datasync_repro::schemes::scheme::Scheme;
 use datasync_repro::schemes::{Cell, CompiledLoop, StatementOriented};
-use datasync_repro::serve::{run_cell, CellSpec};
+use datasync_repro::serve::{json, run_cell, CellSpec, ServeConfig, Server};
 use datasync_repro::sim::{
     FabricKind, FaultPlan, MachineConfig, RecoveryPolicy, RunOutcome, StepMode, Workload,
 };
@@ -198,4 +200,56 @@ fn a_quarantined_clustered_cell_reloads_as_the_cell_that_ran() {
     assert_eq!(run.record.status, "quarantined");
     let doc = run.reproducer.expect("a quarantined cell carries its reproducer");
     assert_eq!(Cell::from_json(&doc).expect("reproducer parses"), spec.cell(), "{doc}");
+}
+
+/// Posts `body` to `/sweep` and returns the response's summary object.
+fn sweep_summary(addr: std::net::SocketAddr, body: &str) -> json::Json {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let head = format!("POST /sweep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len());
+    stream.write_all(head.as_bytes()).expect("send head");
+    stream.write_all(body.as_bytes()).expect("send body");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read to EOF");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let last = response.lines().last().expect("a summary line");
+    json::parse(last)
+        .expect("summary is JSON")
+        .get("summary")
+        .expect("summary")
+        .clone()
+}
+
+#[test]
+fn a_served_sweep_resumes_from_its_journal_with_nothing_recomputed() {
+    let state_dir =
+        std::env::temp_dir().join(format!("datasync-guard-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        state_dir: state_dir.clone(),
+        ..ServeConfig::default()
+    };
+    // Four cells per (scheme, N, P), one chunk and a bit.
+    let body = r#"{"schemes": ["statement", "process", "barrier"], "iterations": [6, 9],
+        "processors": [2, 4], "caches": ["none", "mesi"], "fault_pcts": [0, 30],
+        "fabrics": ["dedicated", "shared"], "seed": 31}"#;
+    let count = |summary: &json::Json, key: &str| summary.get(key).and_then(json::Json::as_u64);
+    let first = Server::spawn(config.clone()).expect("spawn");
+    let cold = sweep_summary(first.addr(), body);
+    assert_eq!((count(&cold, "computed"), count(&cold, "cached")), (Some(96), Some(0)));
+    let stopped = first.stop();
+    assert!(stopped.drained_clean);
+    assert_eq!((stopped.requests, stopped.cells_computed), (1, 96));
+
+    let second = Server::spawn(config).expect("respawn over the same state dir");
+    let resumed = sweep_summary(second.addr(), body);
+    assert_eq!((count(&resumed, "computed"), count(&resumed, "cached")), (Some(0), Some(96)));
+    assert_eq!(
+        resumed.get("aggregate_hash").and_then(json::Json::as_str),
+        cold.get("aggregate_hash").and_then(json::Json::as_str),
+        "a resumed sweep streams the bytes the cold one did"
+    );
+    assert_eq!(second.stop().cells_computed, 0);
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
