@@ -1,5 +1,11 @@
 //! Benchmarks of the Section 5 applications on real threads: relaxation
 //! strategies (Fig 5.1) and FFT phase synchronization (Ex 5).
+//!
+//! Paper claims served, on real threads: E6 (asynchronous pipelining
+//! beats wavefront + barrier) and E10 (pairwise phase sync beats a
+//! global barrier). With `primitives`, this is the only host-time
+//! measurement of the real-thread layer; the repository's `benchmark/`
+//! crate times the simulator and the service only.
 
 use datasync_bench::harness::{bench, bench_with_setup, group};
 use datasync_core::phased::PhaseSync;

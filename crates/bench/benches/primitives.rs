@@ -1,5 +1,14 @@
 //! Micro-benchmarks of the real-thread primitives: process-counter
 //! operations and barrier episodes. Plain `main` on the in-tree harness.
+//!
+//! Paper claims served, on real threads: E4 (one slow iteration
+//! serializes statement counters but not process counters, and the
+//! per-operation cost of the Fig 4.3 primitives of
+//! `datasync_core::handle`) and E9 (butterfly vs dissemination vs
+//! counter barrier).
+//! With `applications`, this is the only host-time measurement of the
+//! real-thread layer; the repository's `benchmark/` crate times the
+//! simulator and the service only.
 
 use datasync_bench::harness::{bench, bench_with_setup, group};
 use datasync_core::barrier::{

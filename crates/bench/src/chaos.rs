@@ -491,4 +491,36 @@ mod tests {
         let doc = minimal.to_json();
         assert_eq!(Cell::from_json(&doc).expect("parse"), minimal);
     }
+
+    #[test]
+    fn serve_reproducers_replay_through_the_chaos_harness() {
+        // A quarantined cell must reload as exactly the machine the
+        // service ran — every field, cluster geometry and cache bits
+        // included — and replay under the fuzzer's invariants.
+        use crate::chaos::run_case;
+        use datasync_schemes::Cell;
+        use datasync_serve::spec::CellSpec;
+        use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind};
+        let d = CellSpec { deadline_cycles: 1, ..CellSpec::default() };
+        let clustered =
+            FabricKind::Clustered { clusters: 2, bridge_latency: 3, coalesce_window: 7 };
+        let mesi = CacheModel::private(CoherenceProtocol::Mesi).geometry(4, 1, 2).sync_uncached();
+        for spec in [
+            CellSpec { seed: 1, ..d.clone() },
+            CellSpec { fault_pct: 35, seed: 13, ..d.clone() },
+            CellSpec { fault_pct: 60, seed: 99, ..d.clone() },
+            CellSpec { fabric: clustered, processors: 2, ..d.clone() },
+            CellSpec { cache: mesi, ..d },
+        ] {
+            let run = datasync_serve::run_cell(&spec);
+            let doc = run.reproducer.expect("a 1-cycle deadline quarantines the cell");
+            let case = Cell::from_json(&doc).expect("serve reproducers parse as cells");
+            assert_eq!(
+                case,
+                spec.cell(),
+                "reloaded reproducer differs from the cell served:\n{doc}"
+            );
+            run_case(&case).expect("replayed cell holds machine invariants");
+        }
+    }
 }

@@ -19,13 +19,17 @@
 //! | [`ablations`] | A1-A4 — memory model, spin retry, X:P ratio, dispatch cost |
 //! | [`robustness`] | R1 — scheme degradation under deterministic fault injection |
 //! | [`chaos`] | R2 — seeded chaos fuzzing with shrinking reproducers |
-//! | [`perf`] | Self-benchmark — fast-forward kernel and sweep-runner speedups |
-//! | [`scale`] | P-scaling curve — kernel throughput at P = 8 → 1024 |
-//! | [`serve`] | Sweep-service load generator — cached throughput, shed storm, crash-resume drill |
+//! | [`scale`] | P-scaling curve and the P-independence gate behind `datasync perf` |
 //!
-//! [`run_all`] fans the experiments across cores via [`sweep`]; every
-//! experiment is a pure function of its parameters, so the parallel run
-//! produces byte-identical tables in the same order as a serial one.
+//! [`run_all`] fans the experiments across cores with
+//! [`datasync_core::par::par_map`]; every experiment is a pure function
+//! of its parameters, so the parallel run produces byte-identical tables
+//! in the same order as a serial one.
+//!
+//! Host time is measured only by the `benchmark/` crate at the
+//! repository root (and, for the real-thread primitives, by the
+//! `primitives` and `applications` benches). Everything this crate
+//! writes is a simulated count, identical on every host.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,16 +45,15 @@ pub mod fig52;
 pub mod fig53;
 pub mod fig54;
 pub mod harness;
-pub mod perf;
 pub mod robustness;
 pub mod scale;
 pub mod sec6;
-pub mod serve;
-pub mod sweep;
 pub mod table;
 
-use sweep::TableJob;
 use table::Table;
+
+/// A deferred experiment: builds one table when called.
+type TableJob = Box<dyn FnOnce() -> Table + Send>;
 
 /// Runs every experiment at its default (paper-shape) parameters.
 ///
@@ -84,5 +87,5 @@ pub fn run_all(quick: bool) -> Vec<Table> {
             robustness::degradation(if quick { 10 } else { 24 }, 4, &[0, 25, 50, 75], 1989)
         }),
     ];
-    sweep::run_tables(jobs)
+    datasync_core::par::par_map(jobs, |job| job())
 }

@@ -1,15 +1,18 @@
-//! P-scaling curve behind `datasync perf --scale`: how the fast-forward
-//! kernel's throughput holds up as the simulated machine grows.
+//! P-scaling curve behind `datasync perf --scale`, and the
+//! P-independence gate behind `datasync perf`: how the fast-forward
+//! kernel's cost per event holds up as the simulated machine grows.
 //!
 //! Every scheme is run on its natural transport at P = 8 → 1024
 //! processors (powers of two) on a spin-heavy Doacross sized to the
 //! machine (2·P iterations, inflated statement costs). The struct-of-
 //! arrays machine state and the calendar event queue are exactly the
 //! mechanisms this curve exercises: per-advance work is bounded by
-//! *events*, not processors, so simulated cycles/second should stay
-//! flat-ish while the machine grows 128-fold.
+//! *events*, not processors, so processor visits per simulator
+//! operation should stay flat while the machine grows 128-fold.
+//! Every number here is a simulated count, so the report is
+//! byte-identical on every host; host time is `benchmark/`'s job.
 //!
-//! Alongside the per-scheme kernel-throughput curves, the sweep carries
+//! Alongside the per-scheme curves, the sweep carries
 //! a **fabric ablation**: a barrier hot-spot microbenchmark (every
 //! processor RMWs one counter each round, then waits for the round
 //! total — pure sync-transport traffic, no data accesses) run on the
@@ -24,13 +27,12 @@
 //! The report serializes to `BENCH_scale.json` (hand-rolled JSON — the
 //! workspace is dependency-free).
 
-use crate::perf::time_runs;
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
 use datasync_schemes::scheme::Scheme;
 use datasync_schemes::{
-    BarrierPhased, CompiledLoop, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
+    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
 };
 use datasync_sim::{
     FabricKind, Instr, KernelCounters, MachineConfig, Pred, Program, RunOutcome, Workload,
@@ -45,10 +47,6 @@ pub struct ScalePoint {
     pub clusters: u32,
     /// Makespan of the run (simulated cycles).
     pub makespan: u64,
-    /// Wall-clock seconds per run (median of three).
-    pub wall_seconds: f64,
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
     /// Processor visits per simulator operation
     /// ([`KernelCounters::visits_per_op`]): the host-independent cost of
     /// an event, flat in P when the kernel only visits processors that
@@ -63,14 +61,12 @@ pub struct ScalePoint {
 }
 
 impl ScalePoint {
-    /// The point for one run that took `wall_seconds` on this host.
-    fn of(out: &RunOutcome, procs: usize, clusters: u32, wall_seconds: f64) -> Self {
+    /// The point for one run.
+    fn of(out: &RunOutcome, procs: usize, clusters: u32) -> Self {
         Self {
             procs,
             clusters,
             makespan: out.stats.makespan,
-            wall_seconds,
-            cycles_per_sec: out.stats.makespan as f64 / wall_seconds,
             visits_per_op: out.kernel.visits_per_op(&out.stats),
             image_words: out.kernel.image_words,
             words_per_broadcast: out.kernel.words_per_broadcast(&out.stats),
@@ -118,14 +114,11 @@ impl ScaleReport {
             for (j, pt) in curve.points.iter().enumerate() {
                 out.push_str(&format!(
                     "      {{\"procs\": {}, \"clusters\": {}, \"makespan\": {}, \
-                     \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \
                      \"visits_per_op\": {:.3}, \"image_words\": {}, \
                      \"words_per_broadcast\": {:.3}}}{}\n",
                     pt.procs,
                     pt.clusters,
                     pt.makespan,
-                    pt.wall_seconds,
-                    pt.cycles_per_sec,
                     pt.visits_per_op,
                     pt.image_words,
                     pt.words_per_broadcast,
@@ -141,20 +134,7 @@ impl ScaleReport {
     /// Human-readable curve table: one row per scheme, one column per P.
     pub fn summary(&self) -> String {
         let mut out = format!("perf --scale: {}\n", self.workload);
-        out.push_str("cycles/sec by processor count (fast-forward kernel)\n");
-        out.push_str(&format!("{:<16}", "scheme"));
-        for p in &self.procs {
-            out.push_str(&format!(" {:>10}", format!("P={p}")));
-        }
-        out.push('\n');
-        for curve in self.curves.iter().filter(|c| c.scheme != HOTSPOT_SCHEME) {
-            out.push_str(&format!("{:<16}", curve.scheme));
-            for pt in &curve.points {
-                out.push_str(&format!(" {:>10}", human_rate(pt.cycles_per_sec)));
-            }
-            out.push('\n');
-        }
-        out.push_str("\nprocessor visits per sim op (host-independent event cost)\n");
+        out.push_str("processor visits per sim op (host-independent event cost)\n");
         for curve in &self.curves {
             let label = if curve.scheme == HOTSPOT_SCHEME {
                 format!("hotspot/{}", curve.fabric)
@@ -204,17 +184,6 @@ impl ScaleReport {
             }
         }
         out
-    }
-}
-
-/// `3.1G`-style rendering of a cycles/sec rate.
-fn human_rate(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.1}G", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.1}M", v / 1e6)
-    } else {
-        format!("{:.0}", v)
     }
 }
 
@@ -277,10 +246,10 @@ fn hotspot_run(p: usize, fabric: FabricKind) -> RunOutcome {
     datasync_sim::run(&config, &hotspot_workload(p)).expect("hot-spot workload must complete")
 }
 
-/// The Fig 2.1 scaling cell: the loop sized to the machine (2·P
+/// Runs the Fig 2.1 scaling cell: the loop sized to the machine (2·P
 /// iterations, so every processor has work) with `cost`-cycle
 /// statements, compiled under one scheme for its natural transport.
-fn scheme_cell(label: &str, p: usize, cost: u32) -> (CompiledLoop, MachineConfig) {
+fn scheme_run(label: &str, p: usize, cost: u32) -> RunOutcome {
     let nest = fig21_loop(2 * p as i64);
     let scheme = build_scheme(label, p);
     let inflate = move |_id, _pid| cost;
@@ -290,12 +259,6 @@ fn scheme_cell(label: &str, p: usize, cost: u32) -> (CompiledLoop, MachineConfig
         sync_transport: scheme.natural_transport(),
         ..MachineConfig::with_processors(p)
     };
-    (compiled, config)
-}
-
-/// Runs [`scheme_cell`] once.
-fn scheme_run(label: &str, p: usize, cost: u32) -> RunOutcome {
-    let (compiled, config) = scheme_cell(label, p, cost);
     compiled.run(&config).expect("scale workload must complete")
 }
 
@@ -310,7 +273,7 @@ pub struct VisitRow {
     pub large: f64,
 }
 
-/// The host-independent gate behind `datasync perf --check`: neither
+/// The host-independent gate behind `datasync perf`: neither
 /// processor visits per simulator operation
 /// ([`KernelCounters::p_independent`]) nor image words written per
 /// broadcast may grow with the machine. Deterministic — the same
@@ -420,12 +383,7 @@ pub fn run(quick: bool) -> ScaleReport {
         .collect();
     for &p in &procs {
         for curve in &mut curves {
-            let (compiled, config) = scheme_cell(&curve.scheme, p, cost);
-            let out = compiled.run(&config).expect("scale workload must complete");
-            let wall_seconds = time_runs(|| {
-                let _ = compiled.run(&config).expect("scale workload must complete");
-            });
-            curve.points.push(ScalePoint::of(&out, p, 0, wall_seconds));
+            curve.points.push(ScalePoint::of(&scheme_run(&curve.scheme, p, cost), p, 0));
         }
     }
     // Fabric ablation: the same hot-spot workload on the flat dedicated
@@ -456,11 +414,7 @@ pub fn run(quick: bool) -> ScaleReport {
                 hotspot_clusters(p),
             ),
         ] {
-            let out = hotspot_run(p, fabric);
-            let wall_seconds = time_runs(|| {
-                let _ = hotspot_run(p, fabric);
-            });
-            curve.points.push(ScalePoint::of(&out, p, clusters, wall_seconds));
+            curve.points.push(ScalePoint::of(&hotspot_run(p, fabric), p, clusters));
         }
     }
     curves.push(flat_curve);
@@ -493,7 +447,6 @@ mod tests {
             for (pt, p) in curve.points.iter().zip(&r.procs) {
                 assert_eq!(pt.procs, *p);
                 assert!(pt.makespan > 0, "{}", curve.scheme);
-                assert!(pt.cycles_per_sec > 0.0, "{}", curve.scheme);
                 if curve.fabric == "clustered" {
                     assert!(pt.clusters >= 2, "{}: missing cluster geometry", curve.scheme);
                 } else {
@@ -506,7 +459,7 @@ mod tests {
             "\"workload\"",
             "\"procs\"",
             "\"schemes\"",
-            "\"cycles_per_sec\"",
+            "\"visits_per_op\"",
             "\"clusters\"",
             "\"image_words\"",
         ] {
@@ -515,6 +468,9 @@ mod tests {
         assert!(json.contains("\"scheme\": \"barrier-phased\""), "{json}");
         assert!(json.contains("\"fabric\": \"clustered\""), "{json}");
         assert!(json.contains("\"fabric\": \"dedicated\""), "{json}");
+        // Every field is a simulated count: no host clock reaches the
+        // artifact, so two runs on any host write the same bytes.
+        assert_eq!(json, run(true).to_json(), "the report must be deterministic");
         let s = r.summary();
         assert!(s.contains("P=32"), "{s}");
         assert!(s.contains("instance"), "{s}");
@@ -522,14 +478,29 @@ mod tests {
     }
 
     #[test]
-    fn full_visit_gate_passes_on_the_hotspot_and_two_compiled_schemes() {
-        // The exact rows `datasync perf --check` gates CI on: P=64 vs
+    fn full_visit_gate_passes_and_fails_a_p_dependent_kernel() {
+        // The exact rows `datasync perf` gates CI on: P=64 vs
         // P=1024, the flat hot-spot and Fig 2.1 under two schemes.
-        let gate = visit_gate(false);
-        assert_eq!(gate.procs, (64, 1024));
-        assert_eq!(gate.rows.len(), 3, "{}", gate.summary());
-        assert_eq!(gate.hotspot_words, (1.0, 1.0), "{}", gate.summary());
-        assert!(gate.pass(), "{}", gate.summary());
+        let ok = visit_gate(false);
+        assert_eq!(ok.procs, (64, 1024));
+        assert_eq!(ok.rows.len(), 3, "{}", ok.summary());
+        assert!(ok.pass(), "{}", ok.summary());
+        assert!(ok.summary().ends_with("=> ok"), "{}", ok.summary());
+
+        // A kernel whose event cost grows with P fails it.
+        let mut bad = ok.clone();
+        bad.rows[0].large = bad.rows[0].small * 16.0;
+        assert!(!bad.pass(), "{}", bad.summary());
+        assert!(bad.summary().contains("REGRESSION"), "{}", bad.summary());
+        assert!(bad.summary().contains("P-DEPENDENT"), "{}", bad.summary());
+
+        // So does one whose broadcasts write more image words on the
+        // bigger machine; virtual images write exactly one.
+        assert_eq!(ok.hotspot_words, (1.0, 1.0), "{}", ok.summary());
+        let mut dense = ok;
+        dense.hotspot_words.1 = 128.0;
+        assert!(!dense.pass(), "{}", dense.summary());
+        assert!(dense.summary().contains("P-DEPENDENT"), "{}", dense.summary());
     }
 
     #[test]

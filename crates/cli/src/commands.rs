@@ -777,14 +777,12 @@ pub fn unroll(p: &Parsed) -> Result<String, CliError> {
     Ok(text)
 }
 
-/// `datasync perf` (plus its `--scale` and `--check` modes).
+/// `datasync perf`: the P-independence gate, or with `--scale` the
+/// scaling curve written to `BENCH_scale.json`.
 pub fn perf(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&["out", "quick", "scale", "check", "baseline"])?;
+    p.expect_only(&["out", "quick", "scale"])?;
     let quick = p.has("quick");
     if p.has("scale") {
-        if p.has("check") {
-            return Err("--scale and --check are mutually exclusive".into());
-        }
         let report = datasync_bench::scale::run(quick);
         let path = p.get("out").unwrap_or("BENCH_scale.json");
         std::fs::write(path, report.to_json())
@@ -793,28 +791,15 @@ pub fn perf(p: &Parsed) -> Result<String, CliError> {
         let _ = writeln!(text, "\nwrote {path}");
         return Ok(text);
     }
-    if p.has("check") {
-        let path = p.get("baseline").unwrap_or("BENCH_sim.json");
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| CliError::from(format!("cannot read baseline '{path}': {e}")))?;
-        let verdict = datasync_bench::perf::check(&baseline, quick)
-            .map_err(|e| CliError::from(format!("unusable baseline '{path}': {e}")))?;
-        let text = format!("{} (baseline {path})\n", verdict.summary());
-        if verdict.pass() {
-            return Ok(text);
-        }
-        return Err(CliError { message: text, code: crate::ExitCode::PerfRegression.code() });
+    if p.has("out") || p.get("out").is_some() {
+        return Err("--out only applies to --scale".into());
     }
-    if p.has("baseline") || p.get("baseline").is_some() {
-        return Err("--baseline only applies to --check".into());
+    let gate = datasync_bench::scale::visit_gate(quick);
+    let text = format!("{}\n", gate.summary());
+    if gate.pass() {
+        return Ok(text);
     }
-    let report = datasync_bench::perf::run(quick);
-    let path = p.get("out").unwrap_or("BENCH_sim.json");
-    std::fs::write(path, report.to_json())
-        .map_err(|e| CliError::from(format!("cannot write '{path}': {e}")))?;
-    let mut text = report.summary();
-    let _ = writeln!(text, "\nwrote {path}");
-    Ok(text)
+    Err(CliError { message: text, code: crate::ExitCode::PerfRegression.code() })
 }
 
 /// `datasync reproduce`.

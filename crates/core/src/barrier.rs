@@ -145,30 +145,6 @@ impl ButterflyBarrier {
         }
         true
     }
-
-    /// Publishes one full episode of arrivals *on behalf of* a
-    /// fail-stopped processor `pid`, releasing survivors that would
-    /// otherwise spin on its counter forever.
-    ///
-    /// Contract: `pid` has permanently stopped (the rescuer is now the
-    /// *sole* writer of its counter — the paper's single-writer argument
-    /// transfers to the rescuer) and the rescuer calls this at most once
-    /// per episode, after re-running any work the dead processor owed.
-    ///
-    /// **What this does and does not guarantee.** It guarantees
-    /// *liveness*: no survivor wedges on the dead counter, and survivor
-    /// episodes keep completing. It does **not** restore the
-    /// all-arrived guarantee for information routed *through* the dead
-    /// position: in a butterfly, survivor A may learn of survivor B's
-    /// arrival only via the dead processor's rounds, and a stand-in
-    /// store publishes those rounds without waiting for B. A fixed
-    /// topology cannot drop a member; survivors needing full barrier
-    /// semantics after a fail-stop should reconfigure to a
-    /// [`crate::quorum::QuorumBarrier`] over the live membership.
-    pub fn arrive_for(&self, pid: usize) {
-        let base = self.counters[pid].load(Ordering::Acquire);
-        self.counters[pid].store(base + u64::from(self.log_p), Ordering::Release);
-    }
 }
 
 impl PhaseBarrier for ButterflyBarrier {
@@ -227,16 +203,6 @@ impl DisseminationBarrier {
             rounds,
             strategy,
         }
-    }
-
-    /// Publishes one episode of arrivals on behalf of a fail-stopped
-    /// processor — the dissemination counterpart of
-    /// [`ButterflyBarrier::arrive_for`], with the same contract and the
-    /// same liveness-only guarantee (see there; reconfigure to a
-    /// [`crate::quorum::QuorumBarrier`] for full semantics).
-    pub fn arrive_for(&self, pid: usize) {
-        let base = self.counters[pid].load(Ordering::Acquire);
-        self.counters[pid].store(base + u64::from(self.rounds), Ordering::Release);
     }
 }
 
@@ -429,47 +395,6 @@ mod tests {
         // poisoning documented on wait_timeout): the late partner is
         // released by it, but the barrier must now be discarded.
         b.wait(1);
-    }
-
-    #[test]
-    fn rescuer_arrives_for_a_fail_stopped_processor() {
-        // pid 3 fail-stops; pid 0 doubles as the rescue controller and
-        // stands in for it each episode. arrive_for guarantees liveness
-        // only (survivors waiting on the dead counter are released and
-        // episodes keep completing — this test finishing IS the
-        // assertion); full all-arrived semantics need a QuorumBarrier.
-        let b = ButterflyBarrier::new(4);
-        let done = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for pid in 0..3 {
-                let (b, done) = (&b, &done);
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        if pid == 0 {
-                            b.arrive_for(3);
-                        }
-                        b.wait(pid);
-                        done.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 3 * 20, "every survivor episode must complete");
-
-        let d = DisseminationBarrier::new(3);
-        std::thread::scope(|s| {
-            for pid in 0..2 {
-                let d = &d;
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        if pid == 0 {
-                            d.arrive_for(2);
-                        }
-                        d.wait(pid);
-                    }
-                });
-            }
-        });
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! (`owner < myPC`), and the final `transfer_PC` acquires ownership if it
 //! was never obtained — so only the ownership *handoff* can ever block,
 //! never an intermediate mark.
+//!
+//! Paper claim served: Fig 4.3's improved primitives, where only the
+//! ownership handoff can block. Caller: the `pc_primitives` group of
+//! `crates/bench/benches/primitives.rs`, which times them on real
+//! threads.
 
 use crate::pc::{PcPool, PcValue};
 

@@ -6,6 +6,12 @@
 //! (`key >= rank`), performs the access, and increments the key. Compare
 //! the storage: a [`KeyTable`] holds one atomic per touched element,
 //! versus the `X` counters of [`crate::pc::PcPool`].
+//!
+//! Paper claim served: Cedar-style keys (§3.3) enforce the same order
+//! as the sequential loop, so they are an independent oracle for the
+//! process-oriented executor. Caller: `keyed_real_threads_match_oracle`
+//! in `tests/property_random_loops.rs`, which runs random loops through
+//! [`run_nest_keyed`] and checks the result against the sequential run.
 
 use crate::pad::CachePadded;
 use crate::wait::WaitStrategy;

@@ -21,9 +21,6 @@
 //!   synchronization;
 //! * [`wait`] — busy-wait strategies (Section 6 argues for busy-waiting
 //!   at this granularity);
-//! * [`quorum`] — survivor-quorum membership and a fail-stop-tolerant
-//!   barrier, the real-thread counterpart of the simulator's
-//!   reconfiguration rung;
 //! * [`sc`] and [`keys`] — the statement-oriented and reference-based
 //!   schemes on real threads, for taxonomy-complete comparisons;
 //! * [`par`] — a std-only scoped-thread parallel map with deterministic
@@ -61,7 +58,6 @@ pub mod par;
 pub mod pc;
 pub mod phased;
 pub mod planexec;
-pub mod quorum;
 pub mod sc;
 pub mod wait;
 
@@ -74,6 +70,5 @@ pub use par::{par_map, par_map_threads};
 pub use pc::{PcPool, PcValue};
 pub use phased::{PhaseSync, Phased};
 pub use planexec::{run_nest, run_plan, SharedArrayStore};
-pub use quorum::{Quorum, QuorumBarrier};
 pub use sc::ScPool;
 pub use wait::WaitStrategy;

@@ -5,8 +5,8 @@
 //! Work is handed out through one atomic index, results land in their
 //! input slot, so the output order is **deterministic** — identical to
 //! the serial `items.into_iter().map(f).collect()` — regardless of
-//! thread count or scheduling. That property is what lets the bench
-//! sweep runner and the robustness matrix parallelize without changing
+//! thread count or scheduling. That property is what lets
+//! `datasync_bench::run_all` and the robustness matrix parallelize without changing
 //! a single byte of their output.
 //!
 //! The calling thread works a share itself, so a map on `t` threads
@@ -34,12 +34,9 @@ static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 
 /// Parses a `DATASYNC_THREADS` value. Errors on anything that is not a
 /// positive integer — including `0`, which used to be silently promoted
-/// to 1 and made "parallelism off" indistinguishable from a typo.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the bad value.
-pub fn threads_from_env(raw: &str) -> Result<usize, String> {
+/// to 1 and made "parallelism off" indistinguishable from a typo. The
+/// error is a human-readable message naming the bad value.
+fn threads_from_env(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Err(format!(
             "DATASYNC_THREADS={raw:?} is invalid: use 1 to force serial execution, \

@@ -199,31 +199,6 @@ impl PcPool {
             .wait_until_timeout(|| cell.load(Ordering::Acquire) >= threshold, timeout)
     }
 
-    /// `release_PC` *on behalf of* a fail-stopped process `pid`, raising
-    /// its slot to `<pid + X, 0>` if the slot has not already moved past
-    /// that value. Returns `true` if the slot moved.
-    ///
-    /// Contract: the rescue controller has re-run the dead process's
-    /// remaining source statements on a survivor, so handing the counter
-    /// to the next folded process is sound. The monotone guard means a
-    /// late or duplicate rescue can never regress a slot another process
-    /// already owns. Uses an atomic compare-exchange — a cold
-    /// recovery-path operation, not the paper's RMW-free hot path.
-    pub fn release_for(&self, pid: u64) -> bool {
-        let cell = &self.pcs[self.index_of(pid)];
-        let target = PcValue::new(pid + self.x as u64, 0).pack();
-        let mut cur = cell.load(Ordering::Acquire);
-        loop {
-            if cur >= target {
-                return false;
-            }
-            match cell.compare_exchange_weak(cur, target, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// `true` if process `pid` currently owns its slot.
     pub fn owns(&self, pid: u64) -> bool {
         self.load(pid).owner >= pid
@@ -339,25 +314,6 @@ mod tests {
         assert!(t0.elapsed() >= std::time::Duration::from_millis(10));
         pool.set_pc(2, 5);
         assert!(pool.wait_pc_timeout(3, 1, 5, std::time::Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn release_for_hands_a_dead_slot_to_the_next_process() {
-        let pool = PcPool::new(4);
-        // Process 1 fail-stopped mid-iteration; the rescuer re-ran its
-        // remaining sources and releases its counter on its behalf.
-        assert!(pool.release_for(1));
-        assert_eq!(pool.load(5), PcValue::new(5, 0));
-        assert!(pool.owns(5));
-        // Waiters on process 1's steps proceed by owner dominance.
-        assert!(pool.try_wait_pc(2, 1, 7));
-        // A duplicate rescue, or one that arrives after the slot already
-        // moved past the target, is a no-op.
-        assert!(!pool.release_for(1));
-        pool.set_pc(5, 2);
-        pool.release_pc(5);
-        assert!(!pool.release_for(5), "slot already owned by process 9");
-        assert!(pool.owns(9));
     }
 
     #[test]

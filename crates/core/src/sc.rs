@@ -138,31 +138,6 @@ impl ScPool {
             .wait_until_timeout(|| cell.load(Ordering::Acquire) >= threshold, timeout)
     }
 
-    /// Records the advance of iteration `pid` *on behalf of* a
-    /// fail-stopped processor, raising the counter to `pid + 1` if it is
-    /// still below. Returns `true` if the counter moved.
-    ///
-    /// Contract: the rescue controller has re-run (on a survivor) the
-    /// statement instances of every iteration up to `pid` that the dead
-    /// processor owed, so skipping the intermediate waits is sound.
-    /// Unlike the normal single-writer primitives this uses an atomic
-    /// compare-exchange — acceptable because rescue is a cold
-    /// recovery-path operation, not the paper's hot synchronization path.
-    pub fn advance_for(&self, sc: usize, pid: u64) -> bool {
-        let cell = &*self.scs[sc];
-        let target = pid + 1;
-        let mut cur = cell.load(Ordering::Acquire);
-        loop {
-            if cur >= target {
-                return false;
-            }
-            match cell.compare_exchange_weak(cur, target, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value (last advanced iteration + 1).
     pub fn load(&self, sc: usize) -> u64 {
         self.scs[sc].load(Ordering::Acquire)
@@ -256,22 +231,6 @@ mod tests {
         assert!(scs.try_await_sc(0, 1, 1));
         assert!(scs.try_advance(0, 1));
         assert_eq!(scs.load(0), 2);
-    }
-
-    #[test]
-    fn advance_for_raises_monotonically_and_releases_waiters() {
-        let scs = ScPool::new(1);
-        // Iterations 0..=2 fail-stopped; the rescuer re-ran them and
-        // advances on their behalf in one stroke.
-        assert!(scs.advance_for(0, 2));
-        assert_eq!(scs.load(0), 3);
-        // Survivor iteration 3 is now unblocked.
-        assert!(scs.try_await_sc(0, 3, 1));
-        assert!(scs.try_advance(0, 3));
-        // A duplicate or late rescue never regresses the counter.
-        assert!(!scs.advance_for(0, 1));
-        assert!(!scs.advance_for(0, 3));
-        assert_eq!(scs.load(0), 4);
     }
 
     #[test]

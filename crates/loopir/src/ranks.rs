@@ -1,6 +1,7 @@
 //! Access-rank computation for data-oriented (reference-based)
-//! synchronization — shared by the simulator scheme and the real-thread
-//! key table.
+//! synchronization, behind the real-thread key table
+//! (`datasync_core::keys`). The simulator's reference-based scheme
+//! ranks its own accesses while it compiles.
 //!
 //! For every element of a *synchronized* array (one with at least one
 //! ordering need), the sequential access sequence is ranked: a write's
@@ -8,6 +9,10 @@
 //! and share the rank of the group's start, so independent fetches can
 //! proceed in any order (Fig 3.1.a). At run time an access waits until
 //! `key >= rank` and increments the key afterwards.
+//!
+//! Paper claim served: the Cedar-key oracle (§3.3) of
+//! `tests/property_random_loops.rs`, its only caller through
+//! `datasync_core::keys`.
 
 use crate::ir::{ArrayId, LoopNest, StmtId};
 use crate::space::IterSpace;

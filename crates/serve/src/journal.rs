@@ -4,9 +4,10 @@
 //! Appends go straight to the file descriptor (no userspace buffering),
 //! so a `kill -9` loses at most the line being written — which replay
 //! then recognizes as a **truncated tail** and tolerates. A checksum
-//! mismatch *before* the last line is real corruption: those lines are
-//! counted and skipped (the affected cells simply recompute — safe,
-//! because records are deterministic) rather than wedging the server.
+//! mismatch (or a line that is not UTF-8) *before* the last line is
+//! real corruption: those lines are counted and skipped (the affected
+//! cells simply recompute — safe, because records are deterministic)
+//! rather than wedging the server.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -75,10 +76,12 @@ impl Journal {
     ///
     /// Propagates filesystem errors other than `NotFound`.
     pub fn replay(path: &Path) -> std::io::Result<Replay> {
-        let mut raw = String::new();
+        // Bytes, not a `String`: one damaged byte must cost one line,
+        // not make the whole journal unreadable as invalid UTF-8.
+        let mut raw = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
-                f.read_to_string(&mut raw)?;
+                f.read_to_end(&mut raw)?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replay::default()),
             Err(e) => return Err(e),
@@ -86,14 +89,11 @@ impl Journal {
         let mut replay = Replay::default();
         // A well-formed journal ends in '\n'; anything after the final
         // newline is a torn append.
-        let (body, tail) = match raw.rfind('\n') {
-            Some(i) => (&raw[..=i], &raw[i + 1..]),
-            None => ("", raw.as_str()),
-        };
+        let mut lines: Vec<&[u8]> = raw.split(|&b| b == b'\n').collect();
+        let tail = lines.pop().unwrap_or_default();
         if !tail.is_empty() {
             replay.truncated_tail = true;
         }
-        let lines: Vec<&str> = body.lines().collect();
         for (i, line) in lines.iter().enumerate() {
             match check_line(line) {
                 Some(payload) => replay.payloads.push(payload.to_string()),
@@ -110,8 +110,11 @@ impl Journal {
     }
 }
 
-/// Verifies one journal line; returns its payload if intact.
-fn check_line(line: &str) -> Option<&str> {
+/// Verifies one journal line; returns its payload if intact. A line that
+/// is not UTF-8 fails like a bad checksum; a trailing `\r` (a journal
+/// copied with CRLF line ends) is ignored.
+fn check_line(line: &[u8]) -> Option<&str> {
+    let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)).ok()?;
     let (sum, payload) = line.split_once(' ')?;
     if sum.len() != 16 || !sum.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
@@ -197,6 +200,56 @@ mod tests {
         assert_eq!(replay.payloads, vec!["{\"a\":1}", "{\"c\":3}"]);
         assert_eq!(replay.corrupt_lines, 1, "mid-file damage is corruption, not a tail");
         assert!(!replay.truncated_tail);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_cut_and_every_flipped_byte_of_a_three_record_journal_replays() {
+        let records = [
+            r#"{"hash":"0f3a","scheme":"process","iterations":6,"makespan":412}"#,
+            r#"{"hash":"77c1","scheme":"reference","iterations":8,"outcome":"ok"}"#,
+            r#"{"hash":"b902","scheme":"statement","fabric":"clustered","clusters":2}"#,
+        ];
+        let path = temp_path("exhaustive");
+        {
+            let mut j = Journal::open(&path).unwrap();
+            for r in records {
+                j.append(r).unwrap();
+            }
+        }
+        let full = std::fs::read(&path).unwrap();
+        let line_ends: Vec<usize> =
+            full.iter().enumerate().filter(|(_, b)| **b == b'\n').map(|(i, _)| i).collect();
+        assert_eq!(line_ends.len(), records.len());
+        // Replays `bytes`; the payloads must be appended records, in
+        // append order, and never an `Err` or a panic.
+        let replay = |bytes: &[u8], what: &str| -> Vec<String> {
+            std::fs::write(&path, bytes).unwrap();
+            let got = Journal::replay(&path).unwrap_or_else(|e| panic!("{what}: {e}")).payloads;
+            let mut rest = records.iter();
+            for p in &got {
+                assert!(
+                    rest.any(|r| *r == p.as_str()),
+                    "{what}: {p:?} is not an appended record in order"
+                );
+            }
+            got
+        };
+
+        for k in 0..=full.len() {
+            let got = replay(&full[..k], &format!("cut at {k}"));
+            let whole = line_ends.iter().filter(|&&end| end < k).count();
+            assert_eq!(got, records[..whole], "cut at {k}");
+        }
+        for i in 0..full.len() {
+            for mask in [0x01u8, 0x80] {
+                let mut bytes = full.clone();
+                bytes[i] ^= mask;
+                let what = format!("byte {i} ^ {mask:#04x}");
+                let got = replay(&bytes, &what);
+                assert!(got.len() + 2 >= records.len(), "{what}: lost {:?}", got);
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -6,7 +6,7 @@
 //! how many processors they visit.
 //!
 //! The workloads here are hand-built from [`Instr`]; the same gate on
-//! compiled schemes (Fig 2.1, the `perf --check` rows) is
+//! compiled schemes (Fig 2.1, the `datasync perf` rows) is
 //! `bench::scale::visit_gate`, tested in crates/bench.
 
 use datasync_sim::{
