@@ -94,3 +94,9 @@ fn committed_artifacts_carry_no_host_time() {
 fn committed_fabric_artifact_is_what_sec6_traffic_writes() {
     assert_eq!(committed("BENCH_fabric.json"), datasync_bench::sec6::fabric_json(64, 4));
 }
+
+#[test]
+fn committed_robustness_artifact_is_what_the_robustness_bin_writes() {
+    let written = datasync_bench::robustness::json_report(24, 4, &[0, 25, 50, 75], 1989);
+    assert_eq!(committed("BENCH_robustness.json"), written);
+}

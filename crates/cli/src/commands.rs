@@ -173,27 +173,8 @@ pub fn simulate(p: &Parsed) -> Result<String, CliError> {
         "cache-line",
         "sync-uncached",
     ])?;
-    let nest = build_loop(p)?;
-    let procs = p.get_u64("procs", 4)? as usize;
-    let x = p.get_u64("x", 2 * procs as u64)? as usize;
-    let scheme = build_scheme(p, procs, x)?;
-    let graph = analyze_deps(&nest);
-    let space = IterSpace::of(&nest);
-    let compiled = scheme.compile(&nest, &graph, &space);
-    let banks = p.get_u64("banks", 0)? as usize;
-    let memory_model = if banks == 0 {
-        datasync_sim::MemoryModel::BusHeld
-    } else {
-        datasync_sim::MemoryModel::Banked { banks }
-    };
-    let config = MachineConfig {
-        sync_transport: scheme.natural_transport(),
-        sync_fabric: parse_fabric(p)?,
-        memory_model,
-        cache: parse_cache(p)?,
-        ..MachineConfig::with_processors(procs)
-    };
-    config.validate().map_err(datasync_sim::SimError::BadConfig)?;
+    let PreparedRun { compiled, config, scheme, iterations } = prepare_run(p)?;
+    let procs = config.processors;
     let out = compiled.run(&config)?;
     let violations = compiled.validate(&out);
 
@@ -201,15 +182,12 @@ pub fn simulate(p: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(
         text,
         "scheme: {}   transport: {:?}   fabric: {}",
-        scheme.name(),
-        config.sync_transport,
-        config.sync_fabric
+        scheme, config.sync_transport, config.sync_fabric
     );
     let _ = writeln!(
         text,
         "iterations: {}   processors: {procs}   sync vars: {}",
-        space.count(),
-        compiled.storage.vars
+        iterations, compiled.storage.vars
     );
     let _ = writeln!(
         text,
@@ -347,11 +325,19 @@ pub fn compare(p: &Parsed) -> Result<String, CliError> {
     Ok(text)
 }
 
+/// A compiled run, its validated machine, and the scheme name and
+/// iteration count `simulate` prints.
+struct PreparedRun {
+    compiled: datasync_schemes::scheme::CompiledLoop,
+    config: MachineConfig,
+    scheme: String,
+    iterations: u64,
+}
+
 /// Compiles the selected loop under the selected scheme and builds its
-/// natural-transport machine config (shared by `trace` and `metrics`).
-fn prepare_run(
-    p: &Parsed,
-) -> Result<(datasync_schemes::scheme::CompiledLoop, MachineConfig, usize), CliError> {
+/// natural-transport machine config (shared by `simulate`, `trace` and
+/// `metrics`).
+fn prepare_run(p: &Parsed) -> Result<PreparedRun, CliError> {
     let nest = build_loop(p)?;
     let procs = p.get_u64("procs", 4)? as usize;
     let x = p.get_u64("x", 2 * procs as u64)? as usize;
@@ -373,7 +359,7 @@ fn prepare_run(
         ..MachineConfig::with_processors(procs)
     };
     config.validate().map_err(datasync_sim::SimError::BadConfig)?;
-    Ok((compiled, config, procs))
+    Ok(PreparedRun { compiled, config, scheme: scheme.name(), iterations: space.count() })
 }
 
 /// `datasync trace`.
@@ -399,13 +385,13 @@ pub fn trace(p: &Parsed) -> Result<String, CliError> {
         "cache-line",
         "sync-uncached",
     ])?;
-    let (compiled, config, procs) = prepare_run(p)?;
+    let PreparedRun { compiled, config, .. } = prepare_run(p)?;
     let capacity = p.get_u64("events", 1 << 20)? as usize;
     if capacity == 0 {
         return Err("--events must be at least 1".into());
     }
     let out = compiled.run_traced(&config, capacity)?;
-    let json = datasync_sim::render_chrome_trace(&out.trace, &out.events, procs);
+    let json = datasync_sim::render_chrome_trace(&out.trace, &out.events, config.processors);
     let path = p.get("out").unwrap_or("trace.json");
     std::fs::write(path, &json)
         .map_err(|e| CliError::from(format!("cannot write '{path}': {e}")))?;
@@ -442,7 +428,7 @@ pub fn metrics(p: &Parsed) -> Result<String, CliError> {
         "cache-line",
         "sync-uncached",
     ])?;
-    let (compiled, config, _) = prepare_run(p)?;
+    let PreparedRun { compiled, config, .. } = prepare_run(p)?;
     let out = compiled.run(&config)?;
     let mut text = String::new();
     let _ = writeln!(

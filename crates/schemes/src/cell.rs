@@ -8,8 +8,11 @@
 //! as a reproducer. The flat `"chaos_case": 1` document
 //! ([`Cell::to_json`] / [`Cell::from_json`]) and the wire names of the
 //! cache and fabric fields, which the service's canonical cell document
-//! shares, are defined in this module and nowhere else.
+//! shares, are defined in this module and nowhere else. So is the run
+//! policy: [`Cell::run`] is the one place a wedged run is retried or
+//! handed to the conservative fallback scheme.
 
+use crate::robustness::{classify_run, Outcome};
 use crate::scheme::{CompiledLoop, Scheme};
 use crate::{BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented};
 use datasync_loopir::analysis::analyze;
@@ -46,6 +49,27 @@ pub fn scheme_for(key: &str, processors: usize) -> Result<Box<dyn Scheme>, Strin
     })
 }
 
+/// Budget multiplier of the one retry a timed-out run gets.
+pub const TIMEOUT_RETRY_FACTOR: u64 = 4;
+
+/// The Fig 2.1 loop at `iterations`, compiled under `scheme`.
+fn compile_fig21(scheme: &dyn Scheme, iterations: i64) -> CompiledLoop {
+    let nest = fig21_loop(iterations);
+    scheme.compile(&nest, &analyze(&nest), &IterSpace::of(&nest))
+}
+
+/// What [`Cell::run`] made of a cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The primary run's classification, or [`Outcome::Degraded`] when
+    /// the fallback scheme carried a wedged run.
+    pub outcome: Outcome,
+    /// Runs of the primary loop: 1, or 2 after a timeout.
+    pub attempts: u32,
+    /// The cycle budget of the last run.
+    pub budget: u64,
+}
+
 /// One cell: everything needed to reproduce a run byte-exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
@@ -72,9 +96,7 @@ impl Cell {
     ///
     /// Reports an unknown or ill-formed scheme key (see [`scheme_for`]).
     pub fn compile_loop(&self) -> Result<CompiledLoop, String> {
-        let scheme = scheme_for(&self.scheme, self.processors)?;
-        let nest = fig21_loop(self.iterations);
-        Ok(scheme.compile(&nest, &analyze(&nest), &IterSpace::of(&nest)))
+        Ok(compile_fig21(&*scheme_for(&self.scheme, self.processors)?, self.iterations))
     }
 
     /// The machine the cell runs `compiled` on: full recovery ladder,
@@ -108,6 +130,59 @@ impl Cell {
         let compiled = self.compile_loop()?;
         let config = self.machine(&compiled)?;
         Ok((compiled, config))
+    }
+
+    /// Runs `compiled` (the cell's loop, or a doctored copy of it) on
+    /// `config` and walks the outer rungs of the recovery ladder, the
+    /// ones above the machine's own repair and rescue:
+    ///
+    /// 1. One run at `config.max_cycles`.
+    /// 2. A [`Outcome::TimedOut`] run is retried once at
+    ///    [`TIMEOUT_RETRY_FACTOR`] times the budget. A detected deadlock
+    ///    is not: neither the wait-for proof nor the watchdog reads the
+    ///    budget, so a rerun would wedge the same way.
+    /// 3. A run still wedged is, if `config.recovery` degrades, rerun
+    ///    under the most conservative scheme the machine allows:
+    ///    barrier-phased on a power-of-two machine, statement-oriented
+    ///    otherwise. It is compiled only then, and runs on `config` (same
+    ///    fabric, faults and last budget) with its natural transport. A
+    ///    completion is [`Outcome::Degraded`]; otherwise the wedge stands.
+    ///
+    /// A dependence-order violation is final: the run is deterministic,
+    /// so a rerun would only reproduce it.
+    #[inline]
+    pub fn run(&self, compiled: &CompiledLoop, mut config: MachineConfig) -> Verdict {
+        let mut attempts = 1;
+        let mut outcome = classify_run(compiled, &config);
+        if let Outcome::TimedOut { .. } = outcome {
+            attempts = 2;
+            config.max_cycles = config.max_cycles.saturating_mul(TIMEOUT_RETRY_FACTOR);
+            outcome = classify_run(compiled, &config);
+        }
+        if config.recovery.degrades()
+            && matches!(outcome, Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. })
+        {
+            outcome = self.fall_back(&config, outcome);
+        }
+        Verdict { outcome, attempts, budget: config.max_cycles }
+    }
+
+    /// The degradation rung of [`Cell::run`]: abort and restart on the
+    /// fallback scheme, as a runtime that switches synchronization modes
+    /// after a fatal sync-bus fault would.
+    fn fall_back(&self, config: &MachineConfig, primary: Outcome) -> Outcome {
+        let key = if self.processors.is_power_of_two() { "barrier" } else { "statement" };
+        let scheme = scheme_for(key, self.processors).expect("both fallback keys build here");
+        let compiled = compile_fig21(&*scheme, self.iterations);
+        let config = MachineConfig { sync_transport: scheme.natural_transport(), ..config.clone() };
+        match classify_run(&compiled, &config) {
+            Outcome::Completed { makespan, .. }
+            | Outcome::Recovered { makespan, .. }
+            | Outcome::Reconfigured { makespan, .. } => {
+                Outcome::Degraded { fallback: scheme.name(), makespan, original: primary.cell() }
+            }
+            _ => primary,
+        }
     }
 
     /// Serializes the cell as a flat JSON object, replayable byte-exact
@@ -406,5 +481,86 @@ mod tests {
             .compile()
             .is_err());
         assert!(Cell { scheme: "quantum".into(), ..cell }.compile().is_err());
+    }
+
+    /// A 4-processor process-oriented cell, its loop with every post
+    /// stripped (no repair can satisfy a wait nothing will post), and
+    /// its machine at a generous budget.
+    fn stripped() -> (Cell, CompiledLoop, MachineConfig) {
+        use datasync_sim::Instr;
+        let cell = Cell {
+            scheme: "process".into(),
+            fabric: FabricKind::Dedicated,
+            iterations: 6,
+            processors: 4,
+            cache: CacheModel::None,
+            plan: FaultPlan::none(),
+        };
+        let mut compiled = cell.compile_loop().expect("process compiles");
+        for prog in &mut compiled.workload.programs {
+            prog.instrs
+                .retain(|i| !matches!(i, Instr::SyncSet { .. } | Instr::SyncSetIfGeq { .. }));
+        }
+        let config = MachineConfig { max_cycles: 1_000_000, ..cell.machine(&compiled).unwrap() };
+        (cell, compiled, config)
+    }
+
+    #[test]
+    fn fallback_degrades_an_unhealable_wedge() {
+        let (cell, compiled, config) = stripped();
+        // A detected deadlock is not retried: the fallback runs at once.
+        let verdict = cell.run(&compiled, config.clone());
+        assert_eq!((verdict.attempts, verdict.budget), (1, 1_000_000), "{verdict:?}");
+        match &verdict.outcome {
+            Outcome::Degraded { fallback, original, .. } => {
+                assert_eq!(fallback, &BarrierPhased::new(4).name());
+                assert_eq!(original, "DEADLOCK");
+            }
+            other => panic!("expected degradation, got {other:?}"),
+        }
+        assert!(verdict.outcome.is_acceptable() && !verdict.outcome.is_ok());
+        // A machine that is not a power of two falls back to statement.
+        let six = Cell { processors: 6, ..cell.clone() };
+        let verdict = six.run(&compiled, MachineConfig { processors: 6, ..config.clone() });
+        let statement = StatementOriented::new().name();
+        assert!(
+            matches!(&verdict.outcome, Outcome::Degraded { fallback, .. } if *fallback == statement),
+            "{verdict:?}"
+        );
+        // RepairOnly and Off must NOT degrade: the primary's wedge stands.
+        for recovery in [RecoveryPolicy::RepairOnly, RecoveryPolicy::Off] {
+            let verdict = cell.run(&compiled, MachineConfig { recovery, ..config.clone() });
+            assert!(
+                matches!(verdict.outcome, Outcome::DeadlockDetected { .. }),
+                "{recovery} must surface the wedge, got {verdict:?}"
+            );
+            assert_eq!((verdict.attempts, verdict.budget), (1, 1_000_000), "{recovery}");
+        }
+    }
+
+    #[test]
+    fn a_timeout_is_retried_once_at_four_times_the_budget_before_the_fallback() {
+        let (cell, compiled, config) = stripped();
+        // A budget under the deadlock proof's cycle times out; at four
+        // times that it times out again or reaches the proof, and the
+        // fallback, run at that last budget, carries the run.
+        let proof = match classify_run(&compiled, &config) {
+            Outcome::DeadlockDetected { cycle, .. } => cycle,
+            other => panic!("the stripped loop must deadlock, got {other:?}"),
+        };
+        let fallback = match cell.run(&compiled, config.clone()).outcome {
+            Outcome::Degraded { makespan, .. } => makespan,
+            other => panic!("expected degradation, got {other:?}"),
+        };
+        let budget = fallback.div_ceil(TIMEOUT_RETRY_FACTOR);
+        assert!(budget < proof, "budget {budget} must time out before the proof at {proof}");
+        let verdict = cell.run(&compiled, MachineConfig { max_cycles: budget, ..config.clone() });
+        assert_eq!((verdict.attempts, verdict.budget), (2, budget * TIMEOUT_RETRY_FACTOR));
+        assert!(matches!(verdict.outcome, Outcome::Degraded { .. }), "{verdict:?}");
+        // Starved outright, the fallback cannot finish either: the
+        // retried timeout stands, and there is no third attempt.
+        let verdict = cell.run(&compiled, MachineConfig { max_cycles: 1, ..config });
+        assert_eq!((verdict.attempts, verdict.budget), (2, TIMEOUT_RETRY_FACTOR));
+        assert_eq!(verdict.outcome, Outcome::TimedOut { max_cycles: TIMEOUT_RETRY_FACTOR });
     }
 }

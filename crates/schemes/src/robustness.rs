@@ -13,22 +13,18 @@
 //! validation runs on every completion — including recovered and degraded
 //! ones, so a healed run that reordered dependences would still be caught.
 //!
-//! With [`RecoveryPolicy::Full`], a run the machine cannot heal (its
-//! wait-for proof shows an edge unsatisfied even globally — e.g. a
-//! conditional post whose guard read a lossy image) is re-run under a
-//! conservative barrier-phased fallback scheme: correctness is preserved
+//! Every cell of the sweep runs through [`Cell::run`], the same ladder
+//! the sweep service uses. With [`RecoveryPolicy::Full`], a run the
+//! machine cannot heal (its wait-for proof shows an edge unsatisfied even
+//! globally — e.g. a conditional post whose guard read a lossy image) is
+//! re-run under a conservative fallback scheme: correctness is preserved
 //! at a performance cost, which is exactly what "graceful degradation"
 //! means here.
+//!
+//! [`RecoveryPolicy::Full`]: datasync_sim::RecoveryPolicy::Full
 
-use crate::barrier_phased::BarrierPhased;
-use crate::instance_based::InstanceBased;
-use crate::process_oriented::ProcessOriented;
-use crate::reference_based::ReferenceBased;
-use crate::scheme::{CompiledLoop, Scheme};
-use crate::statement_oriented::StatementOriented;
-use datasync_loopir::analysis::analyze;
-use datasync_loopir::space::IterSpace;
-use datasync_loopir::workpatterns::fig21_loop;
+use crate::cell::{scheme_for, Cell, SCHEME_KEYS};
+use crate::scheme::CompiledLoop;
 use datasync_sim::{FabricKind, FaultClass, FaultPlan, MachineConfig, SimError};
 
 /// The exhaustive classification of one faulted run.
@@ -254,60 +250,15 @@ pub fn classify_run(compiled: &CompiledLoop, config: &MachineConfig) -> Outcome 
     }
 }
 
-/// [`classify_run`], plus the degradation rung: when the config's
-/// recovery policy allows degrading and the primary scheme wedged
-/// (deadlock or timeout), the same loop is re-run under the conservative
-/// `fallback` scheme — abort-and-restart semantics, matching a runtime
-/// that switches synchronization modes after a fatal sync-bus fault. A
-/// fallback completion (clean or self-healed) reports
-/// [`Outcome::Degraded`]; if the fallback fails too, the primary's
-/// failure stands.
-pub fn classify_with_fallback(
-    compiled: &CompiledLoop,
-    config: &MachineConfig,
-    fallback_name: &str,
-    fallback: &CompiledLoop,
-    fallback_config: &MachineConfig,
-) -> Outcome {
-    let first = classify_run(compiled, config);
-    if !config.recovery.degrades()
-        || !matches!(first, Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. })
-    {
-        return first;
-    }
-    match classify_run(fallback, fallback_config) {
-        Outcome::Completed { makespan, .. }
-        | Outcome::Recovered { makespan, .. }
-        | Outcome::Reconfigured { makespan, .. } => Outcome::Degraded {
-            fallback: fallback_name.to_string(),
-            makespan,
-            original: first.cell(),
-        },
-        _ => first,
-    }
-}
-
-/// The scheme roster the sweep exercises (all four paper families; the
-/// process-oriented scheme in its improved variant).
-fn roster(processors: usize, x: usize) -> Vec<Box<dyn Scheme>> {
-    let mut v: Vec<Box<dyn Scheme>> = vec![
-        Box::new(ReferenceBased::new()),
-        Box::new(InstanceBased::new()),
-        Box::new(StatementOriented::new()),
-        Box::new(ProcessOriented::new(x)),
-    ];
-    if processors.is_power_of_two() {
-        v.push(Box::new(BarrierPhased::new(processors)));
-    }
-    v
-}
-
 /// Sweeps every scheme x every fault class (plus combined chaos) x every
 /// intensity on the paper's Fig 2.1 workload and classifies each run.
 ///
-/// `seed` drives all fault randomness: the same seed reproduces the same
-/// matrix bit for bit. `max_cycles` bounds each run (keep it small enough
-/// that a wedged run times out quickly).
+/// Each cell is a [`Cell`] run by [`Cell::run`] on [`Cell::machine`].
+/// Of `base`, the sweep reads the processor count and cache model (the
+/// cells' own fields), the recovery policy, and `max_cycles`, a floor
+/// under each cell's workload-scaled budget; `sweep` also takes its one
+/// fabric from it. `seed` drives all fault randomness: the same seed
+/// reproduces the same matrix bit for bit.
 ///
 /// Each cell is an independent simulation (its own machine, its own
 /// fault stream), so they are classified in parallel via
@@ -329,82 +280,70 @@ pub fn sweep_fabrics(
     seed: u64,
     fabrics: &[FabricKind],
 ) -> Matrix {
-    let nest = fig21_loop(iterations);
-    let graph = analyze(&nest);
-    let space = IterSpace::of(&nest);
-    let x = base.processors.max(2);
-    // Compile once per scheme; every cell borrows its compilation.
-    let compiled: Vec<(String, FabricKind, CompiledLoop, MachineConfig)> = fabrics
+    let cell = |scheme: &str, fabric, plan| Cell {
+        scheme: scheme.to_string(),
+        fabric,
+        iterations,
+        processors: base.processors,
+        cache: base.cache,
+        plan,
+    };
+    // Every key the machine can build (barrier needs a power of two),
+    // compiled once: a cell's loop does not depend on its fabric.
+    let schemes: Vec<(&str, String, CompiledLoop)> = SCHEME_KEYS
         .iter()
-        .flat_map(|&kind| roster(base.processors, x).into_iter().map(move |scheme| (kind, scheme)))
-        .map(|(kind, scheme)| {
-            let loop_ = scheme.compile(&nest, &graph, &space);
-            let config = MachineConfig {
-                sync_transport: scheme.natural_transport(),
-                sync_fabric: kind,
-                ..base.clone()
-            };
-            (scheme.name(), kind, loop_, config)
+        .filter_map(|&key| {
+            let name = scheme_for(key, base.processors).ok()?.name();
+            let compiled =
+                cell(key, FabricKind::default(), FaultPlan::none()).compile_loop().ok()?;
+            Some((key, name, compiled))
         })
         .collect();
-    // The degradation target: the most conservative scheme available —
-    // barrier-phased where the processor count allows it, otherwise the
-    // statement-oriented baseline. Compiled once; only consulted when the
-    // policy allows degrading and a primary wedges beyond repair.
-    let fallback_scheme: Box<dyn Scheme> = if base.processors.is_power_of_two() {
-        Box::new(BarrierPhased::new(base.processors))
-    } else {
-        Box::new(StatementOriented::new())
-    };
-    let fallback_name = fallback_scheme.name();
-    let fallback_loop = fallback_scheme.compile(&nest, &graph, &space);
-    let fallback_base =
-        MachineConfig { sync_transport: fallback_scheme.natural_transport(), ..base.clone() };
     let mut classes: Vec<(String, Option<FaultClass>)> = FaultClass::ALL
         .iter()
         .map(|&class| (class.label().to_string(), Some(class)))
         .collect();
     classes.push(("chaos".into(), None));
-    let mut jobs: Vec<(&CompiledLoop, MachineConfig, MachineConfig)> = Vec::new();
-    for (_, kind, loop_, config) in &compiled {
-        for (_, class) in &classes {
-            for &i in intensities {
-                let plan = match class {
-                    Some(c) => FaultPlan::only(*c, seed, i.into()),
-                    None => FaultPlan::chaos(seed, i.into()),
-                };
-                // The fallback runs on the same fabric as the primary:
-                // degradation swaps the scheme, not the hardware.
-                let fb = MachineConfig { sync_fabric: *kind, ..fallback_base.clone() };
-                // Raise (never lower) each cell's cycle cap to what its
-                // machine and fault magnitudes can legitimately need: a
-                // flat cap misreports big or heavily-faulted cells as
-                // TIMEOUT when they are merely slow.
-                let mut cell_cfg = config.clone().with_faults(plan);
-                let n_progs = loop_.workload.programs.len();
-                cell_cfg.max_cycles = cell_cfg.max_cycles.max(cell_cfg.scaled_max_cycles(n_progs));
-                let mut fb_cfg = fb.with_faults(plan);
-                fb_cfg.max_cycles = fb_cfg.max_cycles.max(fb_cfg.scaled_max_cycles(n_progs));
-                jobs.push((loop_, cell_cfg, fb_cfg));
+    let mut jobs: Vec<(Cell, &CompiledLoop)> = Vec::new();
+    for &fabric in fabrics {
+        for (key, _, compiled) in &schemes {
+            for (_, class) in &classes {
+                for &i in intensities {
+                    let plan = match class {
+                        Some(c) => FaultPlan::only(*c, seed, i.into()),
+                        None => FaultPlan::chaos(seed, i.into()),
+                    };
+                    jobs.push((cell(key, fabric, plan), compiled));
+                }
             }
         }
     }
-    let mut outcomes = datasync_core::par::par_map(jobs, |(loop_, config, fb_config)| {
-        classify_with_fallback(loop_, &config, &fallback_name, &fallback_loop, &fb_config)
+    let mut outcomes = datasync_core::par::par_map(jobs, |(cell, compiled)| {
+        let mut config = cell.machine(compiled).expect("only keys that built a loop are swept");
+        config.recovery = base.recovery;
+        // Raise (never lower) the sweep's cap to what the cell's machine
+        // and fault magnitudes can legitimately need: a flat cap
+        // misreports big or heavily-faulted cells as TIMEOUT when they
+        // are merely slow.
+        let programs = compiled.workload.programs.len();
+        config.max_cycles = base.max_cycles.max(config.scaled_max_cycles(programs));
+        cell.run(compiled, config).outcome
     })
     .into_iter();
     let mut rows = Vec::new();
-    for (name, kind, _, _) in &compiled {
-        for (label, _) in &classes {
-            rows.push(MatrixRow {
-                scheme: name.clone(),
-                fabric: kind.to_string(),
-                fault: label.clone(),
-                outcomes: intensities
-                    .iter()
-                    .map(|_| outcomes.next().expect("one per cell"))
-                    .collect(),
-            });
+    for fabric in fabrics {
+        for (_, name, _) in &schemes {
+            for (label, _) in &classes {
+                rows.push(MatrixRow {
+                    scheme: name.clone(),
+                    fabric: fabric.to_string(),
+                    fault: label.clone(),
+                    outcomes: intensities
+                        .iter()
+                        .map(|_| outcomes.next().expect("one per cell"))
+                        .collect(),
+                });
+            }
         }
     }
     Matrix {
@@ -606,7 +545,7 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datasync_sim::{RecoveryPolicy, SyncTransport};
+    use datasync_sim::RecoveryPolicy;
 
     fn base() -> MachineConfig {
         let mut c = MachineConfig::with_processors(4);
@@ -762,32 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_run_surfaces_deadlock() {
-        // Sabotage: compile normally, then strip every sync-setting
-        // instruction so waiters starve.
-        use datasync_sim::Instr;
-        let nest = fig21_loop(6);
-        let graph = analyze(&nest);
-        let space = IterSpace::of(&nest);
-        let scheme = ProcessOriented::new(4);
-        let mut compiled = scheme.compile(&nest, &graph, &space);
-        for prog in &mut compiled.workload.programs {
-            prog.instrs
-                .retain(|i| !matches!(i, Instr::SyncSet { .. } | Instr::SyncSetIfGeq { .. }));
-        }
-        let config = MachineConfig {
-            sync_transport: SyncTransport::DedicatedBus,
-            max_cycles: 1_000_000,
-            ..MachineConfig::with_processors(4)
-        };
-        let o = classify_run(&compiled, &config);
-        assert!(
-            matches!(o, Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. }),
-            "sabotaged run must be caught, got {o:?}"
-        );
-    }
-
-    #[test]
     fn render_shape() {
         let m = sweep(6, &base(), &[0, 60], 1);
         let text = render(&m);
@@ -796,48 +709,6 @@ mod tests {
         assert!(text.contains("bcast-loss"));
         assert!(text.contains("0%") && text.contains("60%"));
         assert!(text.lines().count() > m.rows.len());
-    }
-
-    #[test]
-    fn fallback_degrades_an_unhealable_wedge() {
-        // Sabotage the process-oriented scheme (strip its posts) so even
-        // the ladder cannot heal it, then let the classifier fall back.
-        use datasync_sim::Instr;
-        let nest = fig21_loop(6);
-        let graph = analyze(&nest);
-        let space = IterSpace::of(&nest);
-        let scheme = ProcessOriented::new(4);
-        let mut compiled = scheme.compile(&nest, &graph, &space);
-        for prog in &mut compiled.workload.programs {
-            prog.instrs
-                .retain(|i| !matches!(i, Instr::SyncSet { .. } | Instr::SyncSetIfGeq { .. }));
-        }
-        let fb_scheme = BarrierPhased::new(4);
-        let fb = fb_scheme.compile(&nest, &graph, &space);
-        let config = MachineConfig {
-            sync_transport: SyncTransport::DedicatedBus,
-            max_cycles: 1_000_000,
-            recovery: RecoveryPolicy::Full,
-            ..MachineConfig::with_processors(4)
-        };
-        let fb_config =
-            MachineConfig { sync_transport: fb_scheme.natural_transport(), ..config.clone() };
-        let o = classify_with_fallback(&compiled, &config, &fb_scheme.name(), &fb, &fb_config);
-        match &o {
-            Outcome::Degraded { fallback, original, .. } => {
-                assert_eq!(fallback, &fb_scheme.name());
-                assert!(original.contains("DEADLOCK") || original.contains("TIMEOUT"));
-            }
-            other => panic!("expected degradation, got {other:?}"),
-        }
-        assert!(o.is_acceptable() && !o.is_ok());
-        // RepairOnly must NOT degrade: the primary's failure stands.
-        let ro = MachineConfig { recovery: RecoveryPolicy::RepairOnly, ..config };
-        let o2 = classify_with_fallback(&compiled, &ro, &fb_scheme.name(), &fb, &fb_config);
-        assert!(
-            matches!(o2, Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. }),
-            "repair-only must surface the wedge, got {o2:?}"
-        );
     }
 
     #[test]

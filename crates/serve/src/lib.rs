@@ -15,9 +15,9 @@
 //!
 //! | Layer | Module | In-machine analogue |
 //! |---|---|---|
-//! | deadline budgets + escalated retry | [`runner`] | NACK retransmission |
-//! | jittered retry backoff | [`runner`] | `WaitStrategy::JitteredBackoff` |
-//! | quarantine + circuit breaker | [`runner`], [`store`] | fallback scheme (degradation) |
+//! | deadline budgets + one retry after a timeout | [`runner`] | NACK retransmission |
+//! | fallback scheme (degradation) | [`runner`] | the same rung: both run `Cell::run` |
+//! | quarantine + circuit breaker | [`runner`], [`store`] | a wedge no rung heals is reported, never hidden |
 //! | backpressure / load shedding | [`queue`] | SynCron-style overflow shedding |
 //! | checksummed journal + resume | [`journal`], [`store`] | watchdog image repair |
 //! | content-addressed memo cache | [`spec`], [`store`] | — (determinism dividend) |

@@ -26,12 +26,13 @@ pub struct CellRecord {
     /// recompute `spec.content_hash()` and refuse a mismatch).
     pub hash: String,
     /// Terminal status: `ok`, `recovered`, `reconfigured`, `degraded`,
-    /// `quarantined` (deadlock/timeout twice) or `violated` (dependence
-    /// order broken — deterministic, never retried).
+    /// `quarantined` (still deadlocked or timed out after the retry and
+    /// the fallback) or `violated` (dependence order broken —
+    /// deterministic, never retried).
     pub status: String,
     /// Makespan in cycles (0 when the run never finished).
     pub makespan: u64,
-    /// Attempts spent (1 on first-try success, 2 after a retry).
+    /// Runs of the cell's own scheme: 1, or 2 after a timeout.
     pub attempts: u32,
     /// Cycle budget of the final attempt.
     pub budget: u64,

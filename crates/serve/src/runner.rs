@@ -1,31 +1,23 @@
-//! Executes one sweep cell under the service's robustness ladder:
-//! deadline budget → bounded retry with jittered backoff → quarantine.
+//! Executes one sweep cell and turns its verdict into a journalable
+//! record: ok, recovered, reconfigured or degraded, or — poisoned —
+//! violated or quarantined.
 //!
-//! The ladder mirrors the *in-machine* recovery ladder of the sync bus
-//! (NACK retransmission → watchdog repair → fallback scheme) one layer
-//! up: the machine's ladder heals a run from the inside, this one
-//! decides what the service does when a whole run wedges. A detected
-//! deadlock or timeout gets one escalated retry (4× the cycle budget,
-//! after a jittered pause seeded from the cell hash — the
-//! `WaitStrategy::JitteredBackoff` idea applied to request retries); a
-//! second wedge poisons the cell, and a dependence-order violation
-//! poisons it immediately — determinism means retrying a wrong answer
-//! can only waste the budget reproducing it.
+//! The run policy is [`Cell::run`]'s, the same ladder the robustness
+//! matrix walks: one run at the cell's deadline budget, one retry at 4×
+//! the budget after a timeout (never after a detected deadlock, whose
+//! proof no budget changes), then the conservative fallback scheme. A
+//! cell still wedged after that is quarantined with a reproducer, and a
+//! dependence-order violation is poisoned at once — determinism means
+//! rerunning a wrong answer can only reproduce it.
 
 use datasync_core::par::{default_threads, par_map};
-use datasync_schemes::cell::Cell;
+use datasync_schemes::cell::{Cell, Verdict};
 use datasync_schemes::scheme::CompiledLoop;
-use datasync_schemes::{classify_run, Outcome};
+use datasync_schemes::Outcome;
 use datasync_sim::MachineConfig;
 
 use crate::record::CellRecord;
 use crate::spec::CellSpec;
-
-/// Retry-budget escalation factor for the second attempt.
-const RETRY_BUDGET_FACTOR: u64 = 4;
-
-/// Maximum attempts before a wedging cell is poisoned.
-const MAX_ATTEMPTS: u32 = 2;
 
 /// The outcome of running one cell: the journalable record plus, for
 /// poisoned cells, a chaos-fuzzer-format reproducer document.
@@ -51,24 +43,8 @@ pub fn base_budget(spec: &CellSpec, compiled: &CompiledLoop, config: &MachineCon
     }
 }
 
-/// Deterministic per-cell backoff pause (milliseconds) before attempt
-/// `attempt`: a splitmix64 draw seeded from the cell hash, so two
-/// replicas retrying the same poisonous cell desynchronize instead of
-/// hammering in lockstep — `WaitStrategy::JitteredBackoff`'s
-/// storm-avoidance rationale at request granularity.
-pub fn backoff_ms(cell_hash_fnv: u64, attempt: u32) -> u64 {
-    let mut z = cell_hash_fnv.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(attempt.into()));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // Base 1 << attempt ms, jittered to [base/2, 3*base/2], capped small:
-    // the service budget is cycles, not wall time.
-    let base = 1u64 << attempt.min(4);
-    (base / 2 + z % (base + 1)).max(1)
-}
-
-/// Runs one cell to a terminal record: compiles its loop, then walks
-/// the ladder.
+/// Runs one cell to a terminal record: compiles its loop, then runs it
+/// through [`Cell::run`].
 pub fn run_cell(spec: &CellSpec) -> CellRun {
     let cell = spec.cell();
     run_compiled(spec, &cell, &cell.compile_loop())
@@ -106,7 +82,7 @@ pub fn run_cells(specs: Vec<CellSpec>) -> Vec<CellRun> {
     runs.into_iter().map(|run| run.expect("every cell is in one group")).collect()
 }
 
-/// The ladder under [`run_cell`] and [`run_cells`]: `compiled` is
+/// The record under [`run_cell`] and [`run_cells`]: `compiled` is
 /// `cell`'s loop, or why it has none. Inlined by force: left to the
 /// compiler it stays a call, and `run_cell` on small cells (the
 /// benchmark's `sim_grid`) reads 0.7 % slower than when it held the
@@ -133,37 +109,23 @@ fn run_compiled(spec: &CellSpec, cell: &Cell, compiled: &Result<CompiledLoop, St
         // poison rather than panic if a caller bypasses it.
         Err(why) => return finish("quarantined", 0, 1, 0, why),
     };
-    let base = base_budget(spec, compiled, &config);
-    let mut attempt = 1u32;
-    loop {
-        let budget = base.saturating_mul(RETRY_BUDGET_FACTOR.saturating_pow(attempt - 1));
-        config.max_cycles = budget;
-        let outcome = classify_run(compiled, &config);
-        let (status, makespan) = match &outcome {
-            Outcome::Completed { makespan, .. } => ("ok", *makespan),
-            Outcome::Recovered { makespan, .. } => ("recovered", *makespan),
-            Outcome::Reconfigured { makespan, .. } => ("reconfigured", *makespan),
-            Outcome::Degraded { makespan, .. } => ("degraded", *makespan),
-            // Deterministically wrong: retrying reproduces the same
-            // violation, so poison immediately.
-            Outcome::OrderViolation { .. } => ("violated", 0),
-            Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. } => {
-                if attempt < MAX_ATTEMPTS {
-                    let fnv = crate::hash::fnv1a(spec.canonical_json().as_bytes());
-                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms(fnv, attempt)));
-                    attempt += 1;
-                    continue;
-                }
-                ("quarantined", 0)
-            }
-        };
-        return finish(status, makespan, attempt, budget, outcome.cell());
-    }
+    config.max_cycles = base_budget(spec, compiled, &config);
+    let Verdict { outcome, attempts, budget } = cell.run(compiled, config);
+    let (status, makespan) = match &outcome {
+        Outcome::Completed { makespan, .. } => ("ok", *makespan),
+        Outcome::Recovered { makespan, .. } => ("recovered", *makespan),
+        Outcome::Reconfigured { makespan, .. } => ("reconfigured", *makespan),
+        Outcome::Degraded { makespan, .. } => ("degraded", *makespan),
+        Outcome::OrderViolation { .. } => ("violated", 0),
+        Outcome::DeadlockDetected { .. } | Outcome::TimedOut { .. } => ("quarantined", 0),
+    };
+    finish(status, makespan, attempts, budget, outcome.cell())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datasync_schemes::cell::TIMEOUT_RETRY_FACTOR;
 
     #[test]
     fn a_clean_cell_completes_on_the_first_attempt() {
@@ -193,7 +155,7 @@ mod tests {
         let run = run_cell(&spec);
         assert_eq!(run.record.status, "quarantined");
         assert_eq!(run.record.attempts, 2);
-        assert_eq!(run.record.budget, RETRY_BUDGET_FACTOR, "second attempt escalates 4x");
+        assert_eq!(run.record.budget, TIMEOUT_RETRY_FACTOR, "second attempt escalates 4x");
         assert!(run.record.is_poisoned());
         let doc = run.reproducer.expect("poisoned cells carry a reproducer");
         assert!(doc.starts_with("{\n  \"chaos_case\": 1,"));
@@ -244,15 +206,5 @@ mod tests {
         assert!(batch[2].record.detail.contains("barrier"), "{:?}", batch[2].record);
         assert!(batch.last().unwrap().reproducer.is_some());
         assert!(run_cells(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn backoff_is_jittered_but_deterministic() {
-        let a = backoff_ms(0x1234, 1);
-        assert_eq!(a, backoff_ms(0x1234, 1));
-        assert!(a >= 1);
-        // Different cells land on different pauses somewhere in range.
-        let spread: std::collections::HashSet<u64> = (0u64..32).map(|h| backoff_ms(h, 1)).collect();
-        assert!(spread.len() > 1, "jitter should spread cells out");
     }
 }

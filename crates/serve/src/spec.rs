@@ -182,7 +182,7 @@ impl CellSpec {
     pub fn validate(&self) -> Result<(), String> {
         check_scheme(&self.scheme)?;
         check_barrier_machine(&self.scheme, self.processors)?;
-        check_fabric_geometry(&self.fabric, self.processors)?;
+        self.fabric.check(self.processors)?;
         check_iterations(self.iterations)?;
         check_processors(self.processors)?;
         check_fault_pct(self.fault_pct)
@@ -231,26 +231,6 @@ fn check_barrier_machine(scheme: &str, processors: usize) -> Result<(), String> 
         return Err(format!(
             "barrier scheme needs a power-of-two machine, got {processors} processors"
         ));
-    }
-    Ok(())
-}
-
-/// Mirrors `MachineConfig::validate`'s clustered-fabric rules so a bad
-/// geometry is rejected at admission, not deep inside a worker.
-fn check_fabric_geometry(fabric: &FabricKind, processors: usize) -> Result<(), String> {
-    if let FabricKind::Clustered { clusters, bridge_latency, .. } = fabric {
-        if *clusters == 0 {
-            return Err("clustered fabric needs at least one cluster".into());
-        }
-        if *bridge_latency == 0 {
-            return Err("bridge_latency must be at least 1 cycle".into());
-        }
-        let c = *clusters as usize;
-        if c > processors || !processors.is_multiple_of(c) {
-            return Err(format!(
-                "clusters ({clusters}) must divide the processor count ({processors})"
-            ));
-        }
     }
     Ok(())
 }
@@ -456,7 +436,7 @@ impl SweepSpec {
         // every clustered fabric entry must divide every machine size.
         for fabric in &self.fabrics {
             for &processors in &self.processors {
-                check_fabric_geometry(fabric, processors)?;
+                fabric.check(processors)?;
             }
         }
         for &iterations in &self.iterations {

@@ -103,6 +103,32 @@ impl FabricKind {
     pub fn is_clustered(&self) -> bool {
         matches!(self, FabricKind::Clustered { .. })
     }
+
+    /// Checks the fabric's geometry against a `processors`-wide
+    /// machine: a clustered fabric needs at least one cluster, a bridge
+    /// of at least one cycle, and a cluster count that divides the
+    /// machine. Flat fabrics fit any machine.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule the geometry breaks.
+    pub fn check(&self, processors: usize) -> Result<(), String> {
+        if let FabricKind::Clustered { clusters, bridge_latency, .. } = *self {
+            if clusters == 0 {
+                return Err("clustered fabric needs at least one cluster".into());
+            }
+            if bridge_latency == 0 {
+                return Err("bridge_latency must be at least 1 cycle".into());
+            }
+            let c = clusters as usize;
+            if c > processors || !processors.is_multiple_of(c) {
+                return Err(format!(
+                    "clusters ({clusters}) must divide the processor count ({processors})"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for FabricKind {
@@ -380,21 +406,7 @@ impl MachineConfig {
         if self.faults.fail_stop_procs > 0 && self.faults.fail_stop_window == 0 {
             return Err("fail-stop enabled with a zero-cycle kill window".into());
         }
-        if let FabricKind::Clustered { clusters, bridge_latency, .. } = self.sync_fabric {
-            if clusters == 0 {
-                return Err("clustered fabric needs at least one cluster".into());
-            }
-            if bridge_latency == 0 {
-                return Err("bridge_latency must be at least 1 cycle".into());
-            }
-            let c = clusters as usize;
-            if c > self.processors || !self.processors.is_multiple_of(c) {
-                return Err(format!(
-                    "clusters ({clusters}) must divide the processor count ({})",
-                    self.processors
-                ));
-            }
-        }
+        self.sync_fabric.check(self.processors)?;
         Ok(())
     }
 

@@ -290,26 +290,29 @@ fn drops_during_the_fallback_run_still_degrade_cleanly() {
     // same fault plan*: the fallback machine also suffers broadcast
     // drops. A bounded class must not stop the fallback from carrying
     // the run, so the classifier still reports Degraded.
-    use datasync_schemes::robustness::{classify_with_fallback, Outcome};
-    use datasync_schemes::BarrierPhased;
+    use datasync_schemes::robustness::Outcome;
+    use datasync_schemes::{BarrierPhased, Cell};
+    use datasync_sim::{CacheModel, FabricKind};
     let nest = fig21_loop(12);
     let graph = analyze(&nest);
     let space = IterSpace::of(&nest);
     let mut sabotaged = ProcessOriented::new(8).compile(&nest, &graph, &space);
     drop_marks(&mut sabotaged);
     let fb_scheme = BarrierPhased::new(4);
-    let fallback = fb_scheme.compile(&nest, &graph, &space);
-    let plan = FaultPlan::only(FaultClass::BroadcastDrop, 5, 85);
+    let cell = Cell {
+        scheme: "process".into(),
+        fabric: FabricKind::Dedicated,
+        iterations: 12,
+        processors: 4,
+        cache: CacheModel::None,
+        plan: FaultPlan::only(FaultClass::BroadcastDrop, 5, 85),
+    };
     let config = MachineConfig {
         max_cycles: 1_000_000,
         recovery: RecoveryPolicy::Full,
-        ..MachineConfig::with_processors(4)
-    }
-    .with_faults(plan);
-    let fb_config =
-        MachineConfig { sync_transport: fb_scheme.natural_transport(), ..config.clone() };
-    let outcome =
-        classify_with_fallback(&sabotaged, &config, &fb_scheme.name(), &fallback, &fb_config);
+        ..cell.machine(&sabotaged).expect("the process key builds")
+    };
+    let outcome = cell.run(&sabotaged, config).outcome;
     match outcome {
         Outcome::Degraded { fallback, makespan, .. } => {
             assert_eq!(fallback, fb_scheme.name());
