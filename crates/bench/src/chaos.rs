@@ -27,7 +27,7 @@
 //! document ([`Cell::to_json`]); `datasync chaos --replay FILE`
 //! re-runs it byte-exact from the JSON alone.
 
-use datasync_schemes::cell::{Cell, SCHEME_KEYS};
+use datasync_schemes::cell::{scheme_for, Cell, SCHEME_KEYS};
 use datasync_sim::{
     CacheModel, CoherenceProtocol, FabricKind, FaultClass, FaultPlan, SplitMix64, StepMode,
 };
@@ -39,10 +39,10 @@ pub fn generate(seed: u64, index: usize) -> Cell {
     let golden = 0x9e37_79b9_7f4a_7c15u64;
     let mut rng = SplitMix64::new(seed ^ golden.wrapping_mul(index as u64 + 1));
     let scheme = SCHEME_KEYS[rng.range_usize(0, SCHEME_KEYS.len() - 1)].to_string();
-    // Powers of two keep the barrier scheme's butterfly well formed;
-    // odd sizes are exercised by the non-barrier schemes.
+    // A scheme the drawn machine cannot hold (barrier needs a power of
+    // two) runs on 4 processors; odd sizes exercise the other schemes.
     let mut processors = rng.range_usize(2, 4);
-    if scheme == "barrier" && !processors.is_power_of_two() {
+    if scheme_for(&scheme, processors).is_err() {
         processors = 4;
     }
     let mut fabric = FabricKind::ALL[rng.range_usize(0, FabricKind::ALL.len() - 1)];

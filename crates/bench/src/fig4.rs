@@ -5,9 +5,10 @@ use crate::table::{f, Table};
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
+use datasync_schemes::cell::roster;
 use datasync_schemes::compare::report_for;
-use datasync_schemes::scheme::{CostFn, Scheme};
-use datasync_schemes::{ProcessOriented, StatementOriented};
+use datasync_schemes::scheme::CostFn;
+use datasync_schemes::ProcessOriented;
 use datasync_sim::MachineConfig;
 
 /// Delay-injection experiment: one slow iteration (`slow_pid`, cost
@@ -21,11 +22,9 @@ pub fn delay_injection(n: i64, procs: usize, slow_pid: u64, slow_cost: u32) -> T
     let base = MachineConfig::with_processors(procs);
     let cost: CostFn<'_> = &move |_s, pid| if pid == slow_pid { slow_cost } else { 4 };
 
-    let schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(StatementOriented::new()),
-        Box::new(ProcessOriented::basic(2 * procs)),
-        Box::new(ProcessOriented::new(2 * procs)),
-    ];
+    let x = 2 * procs;
+    let schemes =
+        roster(&["statement", &format!("process-basic/{x}"), &format!("process/{x}")], procs);
     let mut t = Table::new(
         "E4-E5 / Fig 3.2 vs 4.1",
         &format!(

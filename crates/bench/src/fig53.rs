@@ -5,9 +5,8 @@ use crate::table::{f, Table};
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::example3_branches;
+use datasync_schemes::cell::roster;
 use datasync_schemes::compare::report_for;
-use datasync_schemes::scheme::Scheme;
-use datasync_schemes::{ProcessOriented, StatementOriented};
 use datasync_sim::MachineConfig;
 
 /// Runs Example 3's branchy loop under the process- and
@@ -23,9 +22,7 @@ pub fn run_experiment(n: i64, procs: usize) -> Table {
         &format!("sources in branches (N={n}, P={procs}): compensating updates on every path"),
         &["scheme", "sync vars", "makespan", "broadcasts", "util %", "violations"],
     );
-    let schemes: Vec<Box<dyn Scheme>> =
-        vec![Box::new(ProcessOriented::new(2 * procs)), Box::new(StatementOriented::new())];
-    for s in schemes {
+    for s in roster(&[&format!("process/{}", 2 * procs), "statement"], procs) {
         let r =
             report_for(s.as_ref(), &nest, &graph, &space, &base, None).expect("simulation failed");
         t.row(vec![

@@ -30,10 +30,7 @@
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
-use datasync_schemes::scheme::Scheme;
-use datasync_schemes::{
-    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
-};
+use datasync_schemes::cell::{machine_for, scheme_for};
 use datasync_sim::{
     FabricKind, Instr, KernelCounters, MachineConfig, Pred, Program, RunOutcome, Workload,
 };
@@ -187,18 +184,6 @@ impl ScaleReport {
     }
 }
 
-/// Builds the scheme under test for one processor count.
-fn build_scheme(label: &str, procs: usize) -> Box<dyn Scheme> {
-    match label {
-        "process" => Box::new(ProcessOriented::new(2 * procs)),
-        "statement" => Box::new(StatementOriented::new()),
-        "barrier-phased" => Box::new(BarrierPhased::new(procs)),
-        "reference" => Box::new(ReferenceBased::new()),
-        "instance" => Box::new(InstanceBased::new()),
-        other => unreachable!("unknown scale scheme {other}"),
-    }
-}
-
 /// Scheme families on the curve (each on its natural transport).
 pub const SCHEMES: [&str; 5] = ["process", "statement", "barrier-phased", "reference", "instance"];
 
@@ -251,15 +236,18 @@ fn hotspot_run(p: usize, fabric: FabricKind) -> RunOutcome {
 /// statements, compiled under one scheme for its natural transport.
 fn scheme_run(label: &str, p: usize, cost: u32) -> RunOutcome {
     let nest = fig21_loop(2 * p as i64);
-    let scheme = build_scheme(label, p);
+    let key = match label {
+        "process" => format!("process/{}", 2 * p),
+        "barrier-phased" => "barrier".into(),
+        other => other.into(),
+    };
+    let scheme = scheme_for(&key, p).expect("every scale scheme builds at a power-of-two P");
     let inflate = move |_id, _pid| cost;
     let compiled =
         scheme.compile_with(&nest, &analyze(&nest), &IterSpace::of(&nest), Some(&inflate));
-    let config = MachineConfig {
-        sync_transport: scheme.natural_transport(),
-        ..MachineConfig::with_processors(p)
-    };
-    compiled.run(&config).expect("scale workload must complete")
+    compiled
+        .run(&machine_for(&*scheme, MachineConfig::with_processors(p)))
+        .expect("scale workload must complete")
 }
 
 /// One workload of the P-independence gate at its two machine sizes.

@@ -5,10 +5,9 @@ use crate::table::{f, Table};
 use datasync_loopir::analysis::analyze;
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns::fig21_loop;
+use datasync_schemes::cell::{machine_for, roster};
 use datasync_schemes::scheme::Scheme;
-use datasync_schemes::{
-    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
-};
+use datasync_schemes::{ProcessOriented, ReferenceBased};
 use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, MachineConfig};
 
 /// Measures the process-oriented scheme's bus traffic with and without
@@ -60,18 +59,6 @@ pub fn run_experiment(n: i64, procs: usize) -> Table {
     t
 }
 
-/// The dedicated-transport schemes, the only ones whose sync traffic
-/// rides the fabric under ablation (reference/instance schemes sync
-/// through shared memory and never touch the sync bus).
-fn fabric_roster(procs: usize) -> Vec<Box<dyn Scheme>> {
-    let mut v: Vec<Box<dyn Scheme>> =
-        vec![Box::new(StatementOriented::new()), Box::new(ProcessOriented::new(2 * procs))];
-    if procs.is_power_of_two() {
-        v.push(Box::new(BarrierPhased::new(procs)));
-    }
-    v
-}
-
 /// E11b / Section 6 ablation — what the dedicated sync bus buys.
 ///
 /// Every dedicated-transport scheme runs on three fabrics: the paper's
@@ -99,15 +86,15 @@ pub fn fabric_ablation(n: i64, procs: usize) -> Table {
             "vs dedicated",
         ],
     );
-    for scheme in fabric_roster(procs) {
+    // The dedicated-transport schemes, the only ones whose sync traffic
+    // rides the fabric under ablation (reference/instance schemes sync
+    // through shared memory and never touch the sync bus).
+    let process = format!("process/{}", 2 * procs);
+    for scheme in roster(&["statement", &process, "barrier"], procs) {
         let compiled = scheme.compile(&nest, &graph, &space);
         let mut dedicated_makespan = 0u64;
         for kind in FabricKind::ALL {
-            let config = MachineConfig {
-                sync_transport: scheme.natural_transport(),
-                ..MachineConfig::with_processors(procs)
-            }
-            .fabric(kind);
+            let config = machine_for(&*scheme, MachineConfig::with_processors(procs).fabric(kind));
             let out = compiled.run(&config).expect("simulation failed");
             assert!(compiled.validate(&out).is_empty(), "order violated");
             // Conservation: on a fault-free run every issued sync op is
@@ -155,8 +142,7 @@ pub fn cache_ablation(n: i64, procs: usize) -> Table {
     let nest = fig21_loop(n);
     let graph = analyze(&nest);
     let space = IterSpace::of(&nest);
-    let schemes: Vec<Box<dyn Scheme>> =
-        vec![Box::new(ReferenceBased::new()), Box::new(InstanceBased::new())];
+    let schemes = roster(&["reference", "instance"], procs);
     let mut t = Table::new(
         "E11c / Sec 6",
         &format!(
@@ -185,11 +171,8 @@ pub fn cache_ablation(n: i64, procs: usize) -> Table {
             ("dragon".into(), "no", CacheModel::private(CoherenceProtocol::Dragon).sync_uncached()),
         ];
         for (label, sync_cached, cache) in cells {
-            let config = MachineConfig {
-                sync_transport: scheme.natural_transport(),
-                cache,
-                ..MachineConfig::with_processors(procs)
-            };
+            let config =
+                machine_for(&*scheme, MachineConfig::with_processors(procs).with_cache(cache));
             let out = compiled.run(&config).expect("simulation failed");
             assert!(compiled.validate(&out).is_empty(), "order violated");
             if !cache.enabled() {
@@ -231,11 +214,9 @@ pub fn cache_sweep(n: i64, procs: usize) -> Table {
         for (sets, assoc, line_words) in
             [(4u32, 1u32, 4u32), (16, 2, 4), (64, 2, 4), (64, 4, 4), (64, 2, 1), (64, 2, 8)]
         {
-            let config = MachineConfig {
-                sync_transport: scheme.natural_transport(),
-                cache: CacheModel::private(protocol).geometry(sets, assoc, line_words),
-                ..MachineConfig::with_processors(procs)
-            };
+            let cache = CacheModel::private(protocol).geometry(sets, assoc, line_words);
+            let config =
+                machine_for(&scheme, MachineConfig::with_processors(procs).with_cache(cache));
             let out = compiled.run(&config).expect("simulation failed");
             assert!(compiled.validate(&out).is_empty(), "order violated");
             let c = out.metrics.cache;

@@ -10,11 +10,8 @@ use datasync_loopir::profit::analyze_doacross;
 use datasync_loopir::render::{render_doacross, render_loop};
 use datasync_loopir::space::IterSpace;
 use datasync_loopir::workpatterns;
-use datasync_schemes::scheme::Scheme;
-use datasync_schemes::{
-    BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
-};
-use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, MachineConfig};
+use datasync_schemes::cell::{machine_for, scheme_for, TIMEOUT_RETRY_FACTOR};
+use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, MachineConfig, MemoryModel};
 use std::fmt::Write as _;
 
 /// Parses `--fabric` (defaulting to the paper's dedicated sync bus).
@@ -82,30 +79,52 @@ fn build_loop(p: &Parsed) -> Result<LoopNest, String> {
     }
 }
 
-/// Builds the selected scheme.
-fn build_scheme(p: &Parsed, procs: usize, x: usize) -> Result<Box<dyn Scheme>, String> {
-    if procs == 0 {
-        return Err("--procs must be at least 1".into());
-    }
-    if x == 0 {
-        return Err("--x must be at least 1".into());
-    }
+/// The [`scheme_for`] key of the selected `--scheme` word: the process
+/// words take `--x` process counters, and `barrier-phased` is `barrier`.
+fn scheme_key(p: &Parsed, x: usize) -> Result<String, String> {
     Ok(match p.get("scheme").unwrap_or("process") {
-        "process" => Box::new(ProcessOriented::new(x)),
-        "process-basic" => Box::new(ProcessOriented::basic(x)),
-        "statement" => Box::new(StatementOriented::new()),
-        "reference" => Box::new(ReferenceBased::new()),
-        "instance" => Box::new(InstanceBased::new()),
-        "barrier-phased" => {
-            if !procs.is_power_of_two() {
-                return Err("barrier-phased needs a power-of-two --procs".into());
-            }
-            Box::new(BarrierPhased::new(procs))
-        }
+        word @ ("process" | "process-basic") => format!("{word}/{x}"),
+        "barrier-phased" => "barrier".into(),
+        word @ ("statement" | "reference" | "instance") => word.into(),
         other => Err(format!(
             "unknown scheme '{other}' (process | process-basic | statement | reference | instance | barrier-phased)"
         ))?,
     })
+}
+
+/// The validated machine every loop-running command starts from:
+/// `procs` processors with the selected fabric, memory banks and caches.
+fn base_machine(p: &Parsed, procs: usize) -> Result<MachineConfig, CliError> {
+    let banks = p.get_u64("banks", 0)? as usize;
+    let config = MachineConfig {
+        sync_fabric: parse_fabric(p)?,
+        memory_model: if banks == 0 { MemoryModel::BusHeld } else { MemoryModel::Banked { banks } },
+        cache: parse_cache(p)?,
+        ..MachineConfig::with_processors(procs)
+    };
+    config.validate().map_err(datasync_sim::SimError::BadConfig)?;
+    Ok(config)
+}
+
+/// Flags that pick the loop and the machine size.
+const LOOP_FLAGS: [&str; 6] = ["loop", "file", "n", "m", "procs", "x"];
+
+/// Flags that pick the sync fabric and the private caches.
+const MACHINE_FLAGS: [&str; 9] = [
+    "fabric",
+    "clusters",
+    "bridge-latency",
+    "coalesce-window",
+    "cache",
+    "cache-sets",
+    "cache-assoc",
+    "cache-line",
+    "sync-uncached",
+];
+
+/// Rejects any flag outside `groups`.
+fn expect_flags(p: &Parsed, groups: &[&[&str]]) -> Result<(), String> {
+    p.expect_only(&groups.concat())
 }
 
 /// `datasync analyze`.
@@ -153,26 +172,7 @@ pub fn analyze(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync simulate`.
 pub fn simulate(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "timeline",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    expect_flags(p, &[&LOOP_FLAGS, &MACHINE_FLAGS, &["scheme", "banks", "timeline"]])?;
     let PreparedRun { compiled, config, scheme, iterations } = prepare_run(p)?;
     let procs = config.processors;
     let out = compiled.run(&config)?;
@@ -228,23 +228,7 @@ pub fn simulate(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync compare`.
 pub fn compare(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "procs",
-        "x",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    expect_flags(p, &[&LOOP_FLAGS, &MACHINE_FLAGS])?;
     let nest = build_loop(p)?;
     let procs = p.get_u64("procs", 4)? as usize;
     let x = p.get_u64("x", 2 * procs as u64)? as usize;
@@ -253,11 +237,7 @@ pub fn compare(p: &Parsed) -> Result<String, CliError> {
     }
     let graph = analyze_deps(&nest);
     let space = IterSpace::of(&nest);
-    let base = MachineConfig {
-        cache: parse_cache(p)?,
-        ..MachineConfig::with_processors(procs).fabric(parse_fabric(p)?)
-    };
-    base.validate().map_err(datasync_sim::SimError::BadConfig)?;
+    let base = base_machine(p, procs)?;
     let cached = base.cache.enabled();
     let clustered = base.sync_fabric.is_clustered();
     let rows = datasync_schemes::compare::compare_all(&nest, &graph, &space, &base, x)?;
@@ -341,50 +321,24 @@ fn prepare_run(p: &Parsed) -> Result<PreparedRun, CliError> {
     let nest = build_loop(p)?;
     let procs = p.get_u64("procs", 4)? as usize;
     let x = p.get_u64("x", 2 * procs as u64)? as usize;
-    let scheme = build_scheme(p, procs, x)?;
+    if procs == 0 {
+        return Err("--procs must be at least 1".into());
+    }
+    if x == 0 {
+        return Err("--x must be at least 1".into());
+    }
+    let scheme = scheme_for(&scheme_key(p, x)?, procs)
+        .map_err(|_| "barrier-phased needs a power-of-two --procs")?;
+    let config = machine_for(&*scheme, base_machine(p, procs)?);
     let graph = analyze_deps(&nest);
     let space = IterSpace::of(&nest);
     let compiled = scheme.compile(&nest, &graph, &space);
-    let banks = p.get_u64("banks", 0)? as usize;
-    let memory_model = if banks == 0 {
-        datasync_sim::MemoryModel::BusHeld
-    } else {
-        datasync_sim::MemoryModel::Banked { banks }
-    };
-    let config = MachineConfig {
-        sync_transport: scheme.natural_transport(),
-        sync_fabric: parse_fabric(p)?,
-        memory_model,
-        cache: parse_cache(p)?,
-        ..MachineConfig::with_processors(procs)
-    };
-    config.validate().map_err(datasync_sim::SimError::BadConfig)?;
     Ok(PreparedRun { compiled, config, scheme: scheme.name(), iterations: space.count() })
 }
 
 /// `datasync trace`.
 pub fn trace(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "out",
-        "events",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    expect_flags(p, &[&LOOP_FLAGS, &MACHINE_FLAGS, &["scheme", "banks", "out", "events"]])?;
     let PreparedRun { compiled, config, .. } = prepare_run(p)?;
     let capacity = p.get_u64("events", 1 << 20)? as usize;
     if capacity == 0 {
@@ -409,25 +363,7 @@ pub fn trace(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync metrics`.
 pub fn metrics(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    expect_flags(p, &[&LOOP_FLAGS, &MACHINE_FLAGS, &["scheme", "banks"]])?;
     let PreparedRun { compiled, config, .. } = prepare_run(p)?;
     let out = compiled.run(&config)?;
     let mut text = String::new();
@@ -463,23 +399,7 @@ fn robustness_exit_code(t: &datasync_schemes::robustness::Tally) -> i32 {
 
 /// `datasync robustness`.
 pub fn robustness(p: &Parsed) -> Result<crate::CliOutput, CliError> {
-    p.expect_only(&[
-        "n",
-        "procs",
-        "seed",
-        "max-cycles",
-        "recovery",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "json",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    expect_flags(p, &[&["n", "procs", "seed", "max-cycles", "recovery", "json"], &MACHINE_FLAGS])?;
     let n = p.get_u64("n", 16)? as i64;
     let procs = p.get_u64("procs", 4)? as usize;
     let seed = p.get_u64("seed", 1989)?;
@@ -517,8 +437,9 @@ pub fn robustness(p: &Parsed) -> Result<crate::CliOutput, CliError> {
         "cells: ok = completed & validated (rN = worst recovery latency), recovered = \
          self-healed (aN actions, hN heal latency), reconfigured = survived a dead \
          processor (xN rescues, pN programs reissued, dN fail-stops), DEGRADED = \
-         fallback scheme carried the run, DEADLOCK = detected, TIMEOUT = hit \
-         {max_cycles} cycles, VIOLATED = order broken\n"
+         fallback scheme carried the run, DEADLOCK = detected, TIMEOUT = still running at \
+         the cell's cap, max({max_cycles}, workload-scaled budget) cycles, and again on \
+         one retry at {TIMEOUT_RETRY_FACTOR}x that cap, VIOLATED = order broken\n"
     );
     text.push_str(&datasync_schemes::robustness::render(&matrix));
     let _ = writeln!(
@@ -800,4 +721,33 @@ pub fn reproduce(p: &Parsed) -> Result<String, CliError> {
         }
     }
     Ok(text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datasync_schemes::scheme::Scheme;
+    use datasync_schemes::{
+        BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
+    };
+
+    #[test]
+    fn every_scheme_word_builds_what_its_typed_constructor_builds() {
+        for (procs, x) in [3, 4, 8].into_iter().flat_map(|p| [(p, 1), (p, 8)]) {
+            let typed = [
+                ("process", Some(ProcessOriented::new(x).name())),
+                ("process-basic", Some(ProcessOriented::basic(x).name())),
+                ("statement", Some(StatementOriented::new().name())),
+                ("reference", Some(ReferenceBased::new().name())),
+                ("instance", Some(InstanceBased::new().name())),
+                ("barrier-phased", (procs != 3).then(|| BarrierPhased::new(procs).name())),
+            ];
+            for (word, want) in typed {
+                let args = ["simulate", "--scheme", word].map(String::from);
+                let key = scheme_key(&Parsed::parse(&args).unwrap(), x).unwrap();
+                let built = scheme_for(&key, procs).map(|s| s.name()).ok();
+                assert_eq!(built, want, "{word} at P={procs}, X={x} (key {key})");
+            }
+        }
+    }
 }

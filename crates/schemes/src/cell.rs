@@ -32,21 +32,59 @@ pub const SCHEME_KEYS: [&str; 5] = ["reference", "instance", "statement", "proce
 /// names a protocol without one.
 pub const DEFAULT_GEOMETRY: (u32, u32, u32) = (16, 2, 4);
 
-/// Builds the scheme a key names for a `processors`-wide machine.
+/// Builds the scheme a key names for a `processors`-wide machine: one
+/// of [`SCHEME_KEYS`] (bare `process` has X = max(P, 2) process
+/// counters), or `process/X` / `process-basic/X` with an explicit
+/// X ≥ 1, improved or basic primitives.
 ///
 /// # Errors
 ///
-/// Reports a key outside [`SCHEME_KEYS`], or `barrier` on a machine
-/// that is not a power of two (its butterfly would be ill formed).
+/// Reports an unknown or ill-formed key, or `barrier` on a machine that
+/// is not a power of two (its butterfly would be ill formed).
 pub fn scheme_for(key: &str, processors: usize) -> Result<Box<dyn Scheme>, String> {
+    // The X ≥ 1 of a `family/X` key.
+    let x_of = |family: &str| -> Option<usize> {
+        let x = key.strip_prefix(family)?.strip_prefix('/')?.parse().ok()?;
+        (x >= 1).then_some(x)
+    };
     Ok(match key {
         "reference" => Box::new(ReferenceBased::new()),
         "instance" => Box::new(InstanceBased::new()),
         "statement" => Box::new(StatementOriented::new()),
         "process" => Box::new(ProcessOriented::new(processors.max(2))),
         "barrier" if processors.is_power_of_two() => Box::new(BarrierPhased::new(processors)),
-        other => return Err(format!("unknown or ill-formed scheme key `{other}`")),
+        "barrier" => Err(format!(
+            "barrier scheme needs a power-of-two machine, got {processors} processors"
+        ))?,
+        _ => match (x_of("process"), x_of("process-basic")) {
+            (Some(x), _) => Box::new(ProcessOriented::new(x)),
+            (_, Some(x)) => Box::new(ProcessOriented::basic(x)),
+            _ => Err(format!("unknown or ill-formed scheme key `{key}`"))?,
+        },
     })
+}
+
+/// The schemes `keys` name on a `processors`-wide machine, in order,
+/// leaving out a `barrier` the machine cannot hold.
+///
+/// # Panics
+///
+/// On any other key that does not build: a bug, not a row to skip.
+pub fn roster(keys: &[&str], processors: usize) -> Vec<Box<dyn Scheme>> {
+    keys.iter()
+        .filter_map(|&key| match scheme_for(key, processors) {
+            Ok(scheme) => Some(scheme),
+            Err(_) if key == "barrier" => None,
+            Err(e) => panic!("{e}"),
+        })
+        .collect()
+}
+
+/// The machine `scheme` runs on: `base` with the scheme's natural sync
+/// transport (§6: PCs and SCs on the dedicated sync bus, keys and
+/// full/empty bits in memory).
+pub fn machine_for(scheme: &dyn Scheme, base: MachineConfig) -> MachineConfig {
+    MachineConfig { sync_transport: scheme.natural_transport(), ..base }
 }
 
 /// Budget multiplier of the one retry a timed-out run gets.
@@ -107,14 +145,14 @@ impl Cell {
     ///
     /// Reports an unknown or ill-formed scheme key (see [`scheme_for`]).
     pub fn machine(&self, compiled: &CompiledLoop) -> Result<MachineConfig, String> {
-        let mut config = MachineConfig {
-            sync_transport: scheme_for(&self.scheme, self.processors)?.natural_transport(),
+        let base = MachineConfig {
             sync_fabric: self.fabric,
             recovery: RecoveryPolicy::Full,
             cache: self.cache,
             faults: self.plan,
             ..MachineConfig::with_processors(self.processors)
         };
+        let mut config = machine_for(&*scheme_for(&self.scheme, self.processors)?, base);
         config.max_cycles = config
             .max_cycles
             .max(config.scaled_max_cycles(compiled.workload.programs.len()));
@@ -171,10 +209,10 @@ impl Cell {
     /// fallback scheme, as a runtime that switches synchronization modes
     /// after a fatal sync-bus fault would.
     fn fall_back(&self, config: &MachineConfig, primary: Outcome) -> Outcome {
-        let key = if self.processors.is_power_of_two() { "barrier" } else { "statement" };
-        let scheme = scheme_for(key, self.processors).expect("both fallback keys build here");
+        // Barrier-phased where the machine holds it, else statement-oriented.
+        let scheme = roster(&["barrier", "statement"], self.processors).swap_remove(0);
         let compiled = compile_fig21(&*scheme, self.iterations);
-        let config = MachineConfig { sync_transport: scheme.natural_transport(), ..config.clone() };
+        let config = machine_for(&*scheme, config.clone());
         match classify_run(&compiled, &config) {
             Outcome::Completed { makespan, .. }
             | Outcome::Recovered { makespan, .. }
@@ -473,6 +511,7 @@ mod tests {
         assert_eq!(config.cache, cell.cache);
         assert_eq!(config.faults, cell.plan);
         assert_eq!(config.recovery, RecoveryPolicy::Full);
+        assert_eq!(config.sync_transport, StatementOriented::new().natural_transport());
         assert!(config.max_cycles >= config.scaled_max_cycles(9));
         for key in SCHEME_KEYS {
             assert!(Cell { scheme: key.into(), ..cell.clone() }.compile().is_ok(), "{key}");
@@ -481,6 +520,28 @@ mod tests {
             .compile()
             .is_err());
         assert!(Cell { scheme: "quantum".into(), ..cell }.compile().is_err());
+    }
+
+    #[test]
+    fn keys_with_a_process_count_build_and_ill_formed_ones_do_not() {
+        let name = |key: &str, procs| scheme_for(key, procs).map(|s| s.name());
+        assert_eq!(name("process/8", 3), Ok(ProcessOriented::new(8).name()));
+        assert_eq!(name("process-basic/1", 4), Ok(ProcessOriented::basic(1).name()));
+        // Bare `process` keeps X = max(P, 2), which cell hashes pin.
+        assert_eq!(name("process", 1), Ok(ProcessOriented::new(2).name()));
+        for bad in ["process/0", "process/", "process/x", "process-basic", "process/8/2"] {
+            let err = name(bad, 4).expect_err(bad);
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+        assert_eq!(name("barrier", 8), Ok(BarrierPhased::new(8).name()));
+        let err = name("barrier", 6).unwrap_err();
+        assert_eq!(err, "barrier scheme needs a power-of-two machine, got 6 processors");
+        // A roster drops barrier where the machine cannot hold it, and
+        // only barrier.
+        assert_eq!(roster(&["statement", "barrier"], 6).len(), 1);
+        assert_eq!(roster(&["statement", "barrier"], 8).len(), 2);
+        let typo = std::panic::catch_unwind(|| roster(&["statment"], 8));
+        assert!(typo.is_err(), "a misspelt key must not drop its row silently");
     }
 
     /// A 4-processor process-oriented cell, its loop with every post

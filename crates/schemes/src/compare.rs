@@ -1,12 +1,8 @@
 //! Running one workload under every scheme — the engine behind the
 //! Fig 3.x reproduction tables.
 
-use crate::barrier_phased::BarrierPhased;
-use crate::instance_based::InstanceBased;
-use crate::process_oriented::ProcessOriented;
-use crate::reference_based::ReferenceBased;
+use crate::cell::{machine_for, roster};
 use crate::scheme::{emit_stmt, CompiledLoop, CostFn, Scheme};
-use crate::statement_oriented::StatementOriented;
 use datasync_loopir::graph::DepGraph;
 use datasync_loopir::ir::LoopNest;
 use datasync_loopir::space::IterSpace;
@@ -147,7 +143,7 @@ pub fn report_for(
     cost: Option<CostFn<'_>>,
 ) -> Result<SchemeReport, SimError> {
     let compiled = scheme.compile_with(nest, graph, space, cost);
-    let config = MachineConfig { sync_transport: scheme.natural_transport(), ..base.clone() };
+    let config = machine_for(scheme, base.clone());
     let out = compiled.run(&config)?;
     let seq = sequential_cycles(nest, space, base, cost)?;
     Ok(build_report(scheme.name(), scheme.sync_var_kind(), &compiled, &config, &out, seq))
@@ -197,7 +193,8 @@ fn build_report(
 }
 
 /// Runs the four scheme families (process-oriented in both primitive
-/// variants) on one workload.
+/// variants, with `x` process counters) on one workload. Barrier-phased
+/// joins them on a machine that can hold it.
 ///
 /// # Errors
 ///
@@ -209,16 +206,9 @@ pub fn compare_all(
     base: &MachineConfig,
     x: usize,
 ) -> Result<Vec<SchemeReport>, SimError> {
-    let mut schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(ReferenceBased::new()),
-        Box::new(InstanceBased::new()),
-        Box::new(StatementOriented::new()),
-        Box::new(ProcessOriented::basic(x)),
-        Box::new(ProcessOriented::new(x)),
-    ];
-    if base.processors.is_power_of_two() {
-        schemes.push(Box::new(BarrierPhased::new(base.processors)));
-    }
+    let (basic, improved) = (format!("process-basic/{x}"), format!("process/{x}"));
+    let keys = ["reference", "instance", "statement", &basic, &improved, "barrier"];
+    let schemes = roster(&keys, base.processors);
     // The sequential baseline is the same for every scheme — compute it
     // once instead of once per row. Each scheme's run is an independent
     // simulation, so the runs fan out across cores; `par_map` returns
@@ -229,8 +219,7 @@ pub fn compare_all(
         .iter()
         .map(|s| {
             let compiled = s.compile_with(nest, graph, space, None);
-            let config = MachineConfig { sync_transport: s.natural_transport(), ..base.clone() };
-            (s.name(), s.sync_var_kind(), compiled, config)
+            (s.name(), s.sync_var_kind(), compiled, machine_for(&**s, base.clone()))
         })
         .collect();
     datasync_core::par::par_map(prepared, |(name, var_kind, compiled, config)| {

@@ -181,7 +181,7 @@ impl CellSpec {
     /// Returns a human-readable rejection reason.
     pub fn validate(&self) -> Result<(), String> {
         check_scheme(&self.scheme)?;
-        check_barrier_machine(&self.scheme, self.processors)?;
+        cell::scheme_for(&self.scheme, self.processors)?;
         self.fabric.check(self.processors)?;
         check_iterations(self.iterations)?;
         check_processors(self.processors)?;
@@ -224,15 +224,6 @@ fn check_scheme(scheme: &str) -> Result<(), String> {
     } else {
         Err(format!("unknown scheme `{scheme}` (expected one of {SCHEME_KEYS:?})"))
     }
-}
-
-fn check_barrier_machine(scheme: &str, processors: usize) -> Result<(), String> {
-    if scheme == "barrier" && !processors.is_power_of_two() {
-        return Err(format!(
-            "barrier scheme needs a power-of-two machine, got {processors} processors"
-        ));
-    }
-    Ok(())
 }
 
 fn check_iterations(iterations: i64) -> Result<(), String> {
@@ -415,9 +406,9 @@ impl SweepSpec {
     /// in time linear in the axis lengths and without materializing a
     /// single [`CellSpec`]. Equivalent to validating `expand()` cell by
     /// cell because every [`CellSpec::validate`] rule reads one field —
-    /// except the barrier/machine-size rule, whose cross product
-    /// collapses to "if any scheme is `barrier`, every machine size
-    /// must be a power of two".
+    /// except whether a scheme builds on a machine size
+    /// ([`cell::scheme_for`]: barrier needs a power of two), whose cross
+    /// product collapses to asking each distinct key of every size.
     ///
     /// # Errors
     ///
@@ -427,9 +418,9 @@ impl SweepSpec {
         for scheme in &self.schemes {
             check_scheme(scheme)?;
         }
-        if self.schemes.iter().any(|s| s == "barrier") {
+        for key in SCHEME_KEYS.iter().filter(|k| self.schemes.iter().any(|s| s == *k)) {
             for &processors in &self.processors {
-                check_barrier_machine("barrier", processors)?;
+                cell::scheme_for(key, processors)?;
             }
         }
         // Like the barrier rule, cluster geometry couples two axes:
@@ -663,6 +654,8 @@ mod tests {
         assert!(CellSpec::parse(r#"{"procesors": 4}"#).unwrap_err().contains("procesors"));
         assert!(CellSpec::parse(r#"{"scheme": "quantum"}"#).is_err());
         assert!(CellSpec::parse(r#"{"scheme": "barrier", "processors": 6}"#).is_err());
+        // `scheme_for` builds `process/8`, but the wire takes only SCHEME_KEYS.
+        assert!(CellSpec::parse(r#"{"scheme": "process/8"}"#).is_err());
         assert!(CellSpec::parse(r#"{"processors": 1}"#).is_err());
         assert!(CellSpec::parse(r#"{"processors": 65}"#).is_err());
         assert!(CellSpec::parse(r#"{"iterations": 0}"#).is_err());
@@ -764,6 +757,7 @@ mod tests {
             r#"{"fabrics": ["warp"]}"#,
             r#"{"caches": ["victim"]}"#,
             r#"{"schemes": ["barrier"], "processors": [6]}"#,
+            r#"{"schemes": ["process/8"]}"#,
             r#"{"fault_pcts": [200]}"#,
             r#"{"sweeps": 3}"#,
             // Cluster axes must pair 1:1 with fabrics…

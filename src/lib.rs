@@ -24,6 +24,7 @@
 //! use datasync_repro::loopir::analysis::analyze;
 //! use datasync_repro::loopir::space::IterSpace;
 //! use datasync_repro::loopir::workpatterns::fig21_loop;
+//! use datasync_repro::schemes::cell::machine_for;
 //! use datasync_repro::schemes::scheme::Scheme;
 //! use datasync_repro::schemes::ProcessOriented;
 //! use datasync_repro::sim::{FabricKind, MachineConfig};
@@ -36,11 +37,7 @@
 //!
 //! let mut makespans = Vec::new();
 //! for kind in FabricKind::ALL {
-//!     let config = MachineConfig {
-//!         sync_transport: scheme.natural_transport(),
-//!         ..MachineConfig::with_processors(4)
-//!     }
-//!     .fabric(kind);
+//!     let config = machine_for(&scheme, MachineConfig::with_processors(4).fabric(kind));
 //!     let out = compiled.run(&config).expect("run");
 //!     assert!(compiled.validate(&out).is_empty(), "dependence order broken");
 //!     makespans.push((kind, out.stats.makespan));
